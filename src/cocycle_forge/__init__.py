@@ -26,15 +26,7 @@ JSON scenario files; see the README for the schema.
 """
 
 from .chains import AffineSimplex, Chain, boundary, integrate, is_cycle, pushforward
-from .cochain import (
-    F_gamma,
-    FormCochain,
-    RealCochain,
-    big_D,
-    delta_double_prime,
-    delta_prime,
-    f_gamma,
-)
+from .cochain import Cochain, F_gamma, delta_double_prime, delta_prime, f_gamma
 from .diffeo import DEFAULT_DEGREE_CAP, GroupPresentation, PolyDiffeo
 from .errors import (
     CocycleForgeError,
@@ -74,12 +66,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineSimplex",
     "Chain",
+    "Cochain",
     "CocycleForgeError",
     "DEFAULT_DEGREE_CAP",
     "DegreeCapExceededError",
     "DimensionMismatchError",
     "F_gamma",
-    "FormCochain",
     "GroupPresentation",
     "InvarianceError",
     "NotACycleError",
@@ -88,11 +80,9 @@ __all__ = [
     "PolyForm",
     "PolyVectorField",
     "Polynomial",
-    "RealCochain",
     "ScenarioConfig",
     "ScenarioError",
     "ZigzagState",
-    "big_D",
     "boundary",
     "build_phi_sequence",
     "closed_form_translation",

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .chains import Chain, boundary, integrate, pushforward
-from .cochain import F_gamma, FormCochain, big_D, delta_prime, f_gamma
+from .cochain import Cochain, F_gamma, delta_prime, f_gamma
 from .diffeo import GroupPresentation, PolyDiffeo
 from .errors import ScenarioError
 from .forms import (
@@ -53,7 +52,6 @@ from .zigzag import (
     cocycle,
     coboundary_comparison_residual,
     cocycle_eval,
-    trivializing_cochain_b,
     verify_cocycle_identity,
 )
 
@@ -68,13 +66,26 @@ def _result(name: str, samples: int, failures: int, **extra) -> dict:
     return out
 
 
-def _sweep_forms(name, samples, rng_draw, residual) -> dict:
-    """Run ``samples`` draws, counting nonzero form-valued residuals."""
+def _sweep(name, samples, trial, *, rational=False, **extra) -> dict:
+    """Run ``trial(k)`` for k in range(samples) and count the failures.
+
+    A trial returns its residual: a form or chain, which fails unless it
+    is zero; an exact rational, which fails unless it is 0; or a bool,
+    True when the two sides of an identity differ.  Rational sweeps also
+    report ``max_abs_residual``, which is 0 when nothing failed or ran.
+    """
     failures = 0
-    for _ in range(samples):
-        if not residual(*rng_draw()).is_zero():
+    worst = Fraction(0)
+    for k in range(samples):
+        residual = trial(k)
+        if isinstance(residual, (PolyForm, Chain)):
+            residual = not residual.is_zero()
+        if residual != 0:
             failures += 1
-    return _result(name, samples, failures)
+            worst = max(worst, abs(residual))
+    if rational:
+        extra["max_abs_residual"] = worst
+    return _result(name, samples, failures, **extra)
 
 
 def _same_form(left, right) -> bool:
@@ -98,109 +109,102 @@ def calculus_suite(group: GroupPresentation, samples: int, seed: int) -> list[di
     checks = []
 
     rng = _rng(seed, "ext_d_squared")
-    checks.append(
-        _sweep_forms(
-            "ext_d_squared_zero",
-            samples,
-            lambda: (random_form(rng, dim, rng.randint(0, dim), 4),),
-            lambda a: ext_d(ext_d(a)),
-        )
-    )
+
+    def ext_d_squared(_):
+        a = random_form(rng, dim, rng.randint(0, dim), 4)
+        return ext_d(ext_d(a))
+
+    checks.append(_sweep("ext_d_squared_zero", samples, ext_d_squared))
 
     rng = _rng(seed, "homotopy")
-    checks.append(
-        _sweep_forms(
-            "homotopy_identity_positive_degree",
-            samples,
-            lambda: (random_form(rng, dim, rng.randint(1, dim), 4),),
-            lambda a: ext_d(poincare_h(a)) + poincare_h(ext_d(a)) - a,
-        )
-    )
+
+    def homotopy(_):
+        a = random_form(rng, dim, rng.randint(1, dim), 4)
+        return ext_d(poincare_h(a)) + poincare_h(ext_d(a)) - a
+
+    checks.append(_sweep("homotopy_identity_positive_degree", samples, homotopy))
 
     rng = _rng(seed, "homotopy0")
-    failures = 0
-    for _ in range(samples):
+
+    def homotopy0(_):
         f = random_polynomial(rng, dim, 4)
         recovered = poincare_h(ext_d(PolyForm.from_polynomial(f)))
         expected = PolyForm.from_polynomial(f - Polynomial.constant(dim, f.constant_term()))
-        if recovered != expected:
-            failures += 1
-    checks.append(_result("homotopy_degree_zero", samples, failures))
+        return recovered != expected
+
+    checks.append(_sweep("homotopy_degree_zero", samples, homotopy0))
 
     rng = _rng(seed, "cartan")
-    failures = 0
-    for _ in range(samples):
+
+    def cartan(_):
         x = random_vector_field(rng, dim, 2)
         y = random_vector_field(rng, dim, 2)
         a = random_form(rng, dim, rng.randint(1, dim), 2)
         lhs = lie_derivative(x, interior(y, a)) - interior(y, lie_derivative(x, a))
-        rhs = interior(x.bracket(y), a)
-        if lhs != rhs:
-            failures += 1
-    checks.append(_result("cartan_bracket_compatibility", samples, failures))
+        return lhs != interior(x.bracket(y), a)
+
+    checks.append(_sweep("cartan_bracket_compatibility", samples, cartan))
 
     rng = _rng(seed, "euler")
     euler = PolyVectorField.euler(dim)
-    failures = 0
-    for _ in range(samples):
+
+    def euler_grading(_):
         k = rng.randint(0, dim)
         a = random_form(rng, dim, k, 3)
         expected = PolyForm.zero(dim, k)
         for idx, poly in a.components.items():
             for s, piece in poly.homogeneous_parts().items():
                 expected = expected + PolyForm(dim, k, {idx: piece}) * (k + s)
-        if lie_derivative(euler, a) != expected:
-            failures += 1
-    checks.append(_result("euler_field_grading", samples, failures))
+        return lie_derivative(euler, a) != expected
+
+    checks.append(_sweep("euler_field_grading", samples, euler_grading))
 
     rng = _rng(seed, "functorial")
-    failures = 0
-    for _ in range(samples):
+
+    def functorial(_):
         a = random_form(rng, dim, rng.randint(0, dim), 2)
         phi = random_polynomial_map(rng, dim, dim, 2)
         psi = random_polynomial_map(rng, dim, dim, 2)
         composite = [c.compose(psi) for c in phi]
-        if pullback(composite, a) != pullback(psi, pullback(phi, a)):
-            failures += 1
-    checks.append(_result("pullback_functorial", samples, failures))
+        return pullback(composite, a) != pullback(psi, pullback(phi, a))
+
+    checks.append(_sweep("pullback_functorial", samples, functorial))
 
     rng = _rng(seed, "pullback_id")
     identity_map = [Polynomial.variable(dim, i) for i in range(dim)]
-    checks.append(
-        _sweep_forms(
-            "pullback_identity",
-            samples,
-            lambda: (random_form(rng, dim, rng.randint(0, dim), 3),),
-            lambda a: pullback(identity_map, a) - a,
-        )
-    )
+
+    def pullback_identity(_):
+        a = random_form(rng, dim, rng.randint(0, dim), 3)
+        return pullback(identity_map, a) - a
+
+    checks.append(_sweep("pullback_identity", samples, pullback_identity))
 
     rng = _rng(seed, "action")
     words = group.sample_words(2 * samples, 3, rng.randint(0, 10**9))
-    failures = 0
-    for k in range(samples):
+
+    def action(k):
         g, h = words[2 * k], words[2 * k + 1]
         a = random_form(rng, dim, rng.randint(0, dim), 2)
         product = g.compose(h, degree_cap=group.degree_cap)
-        if h.pullback_form(g.pullback_form(a)) != product.pullback_form(a):
-            failures += 1
-    checks.append(_result("right_action_law", samples, failures))
+        return h.pullback_form(g.pullback_form(a)) != product.pullback_form(a)
+
+    checks.append(_sweep("right_action_law", samples, action))
 
     rng = _rng(seed, "graded")
-    failures = 0
-    for _ in range(samples):
+
+    def graded(_):
         k = rng.randint(0, dim)
         l = rng.randint(0, dim)
         a = random_form(rng, dim, k, 2)
         b = random_form(rng, dim, l, 2)
         sign = -1 if (k * l) % 2 else 1
-        if wedge(a, b) != wedge(b, a) * sign:
-            failures += 1
-    checks.append(_result("wedge_graded_commutative", samples, failures))
+        return wedge(a, b) != wedge(b, a) * sign
+
+    checks.append(_sweep("wedge_graded_commutative", samples, graded))
 
     rng = _rng(seed, "antiderivation")
-    failures = 0
-    for _ in range(samples):
+
+    def antiderivation(_):
         k = rng.randint(1, dim)
         a = random_form(rng, dim, k, 2)
         b = random_form(rng, dim, rng.randint(0, dim - k), 2)
@@ -212,9 +216,9 @@ def calculus_suite(group: GroupPresentation, samples: int, seed: int) -> list[di
             # i(X) annihilates functions, so the second Leibniz term only
             # contributes when b has positive degree.
             rhs = rhs + wedge(a, interior(x, b)) * sign
-        if lhs != rhs:
-            failures += 1
-    checks.append(_result("interior_antiderivation", samples, failures))
+        return lhs != rhs
+
+    checks.append(_sweep("interior_antiderivation", samples, antiderivation))
 
     return checks
 
@@ -224,36 +228,26 @@ def calculus_suite(group: GroupPresentation, samples: int, seed: int) -> list[di
 
 def stokes_suite(dim: int, samples: int, seed: int) -> list[dict]:
     """Exact Stokes' theorem and boundary-of-boundary on random data."""
-    checks = []
-
     rng = _rng(seed, "stokes")
-    failures = 0
-    worst = Fraction(0)
-    for _ in range(samples):
+
+    def stokes(_):
         q = rng.randint(1, dim)
         sigma = random_simplex(rng, dim, q)
         alpha = random_form(rng, dim, q - 1, 4)
         chain = Chain(q, dim, {sigma: Fraction(1)})
-        residual = integrate(ext_d(alpha), chain) - integrate(alpha, boundary(chain))
-        if residual != 0:
-            failures += 1
-            worst = max(worst, abs(residual))
+        return integrate(ext_d(alpha), chain) - integrate(alpha, boundary(chain))
+
+    checks = [_sweep("stokes_exact", samples, stokes, rational=True)]
+
+    rng = _rng(seed, "ddzero")
+
+    def ddzero(_):
+        q = rng.randint(2, dim)
+        return boundary(boundary(random_chain(rng, dim, q, 2)))
+
     checks.append(
-        _result("stokes_exact", samples, failures, max_abs_residual=worst)
+        _sweep("boundary_squared_zero", samples if dim >= 2 else 0, ddzero)
     )
-
-    if dim >= 2:
-        rng = _rng(seed, "ddzero")
-        failures = 0
-        for _ in range(samples):
-            q = rng.randint(2, dim)
-            chain = random_chain(rng, dim, q, 2)
-            if not boundary(boundary(chain)).is_zero():
-                failures += 1
-        checks.append(_result("boundary_squared_zero", samples, failures))
-    else:
-        checks.append(_result("boundary_squared_zero", 0, 0))
-
     return checks
 
 
@@ -274,73 +268,71 @@ def _test_cycles(dim: int) -> list[tuple[str, Chain]]:
 
 def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
     """The transgression identities in the translation identification."""
-    checks = []
     cycles = _test_cycles(dim)
 
     rng = _rng(seed, "point_id")
-    failures = 0
     point = cycles[0][1]
-    for _ in range(samples):
+
+    def point_identity(_):
         omega = random_constant_form(rng, dim, rng.randint(0, dim))
-        if f_gamma(point, omega) != omega:
-            failures += 1
-    checks.append(_result("point_cycle_identity_on_constants", samples, failures))
+        return f_gamma(point, omega) != omega
+
+    checks = [_sweep("point_cycle_identity_on_constants", samples, point_identity)]
 
     for label, gamma in cycles:
         rng = _rng(seed, f"dG_{label}")
-        failures = 0
-        for _ in range(samples):
+
+        def d_intertwines(_):
             omega = random_form(rng, dim, rng.randint(0, dim), 3)
-            if not _same_form(ext_d(f_gamma(gamma, omega)), f_gamma(gamma, ext_d(omega))):
-                failures += 1
-        checks.append(_result(f"d_intertwines_fgamma_{label}", samples, failures))
+            return not _same_form(
+                ext_d(f_gamma(gamma, omega)), f_gamma(gamma, ext_d(omega))
+            )
+
+        checks.append(_sweep(f"d_intertwines_fgamma_{label}", samples, d_intertwines))
 
     for label, gamma in cycles:
         rng = _rng(seed, f"dprime_{label}")
-        failures = 0
-        for _ in range(samples):
+
+        def dprime_intertwines(_):
             theta = random_form(rng, dim, rng.randint(gamma.dim, dim), 2)
-
-            def evaluator(g, _theta=theta):
-                return g.pullback_form(_theta)
-
-            c = FormCochain(1, theta.degree, dim, evaluator)
+            c = Cochain(1, theta.degree, dim, lambda g: g.pullback_form(theta))
             lhs = delta_prime(F_gamma(c, gamma))
             rhs = F_gamma(delta_prime(c), gamma)
             a = PolyDiffeo.translation(random_vector(rng, dim))
             b = PolyDiffeo.translation(random_vector(rng, dim))
-            if lhs(a, b) != rhs(a, b):
-                failures += 1
+            return lhs(a, b) != rhs(a, b)
+
         checks.append(
-            _result(f"delta_prime_intertwines_Fgamma_{label}", samples, failures)
+            _sweep(
+                f"delta_prime_intertwines_Fgamma_{label}", samples, dprime_intertwines
+            )
         )
 
     rng = _rng(seed, "equivariance")
-    failures = 0
-    for _ in range(samples):
-        label, gamma = cycles[rng.randrange(len(cycles))]
+
+    def equivariance(_):
+        gamma = cycles[rng.randrange(len(cycles))][1]
         omega = random_form(rng, dim, rng.randint(0, dim), 3)
         mover = PolyDiffeo.translation(random_vector(rng, dim))
-        if f_gamma(gamma, mover.pullback_form(omega)) != mover.pullback_form(
+        return f_gamma(gamma, mover.pullback_form(omega)) != mover.pullback_form(
             f_gamma(gamma, omega)
-        ):
-            failures += 1
-    checks.append(_result("translation_equivariance", samples, failures))
+        )
+
+    checks.append(_sweep("translation_equivariance", samples, equivariance))
 
     rng = _rng(seed, "linearity")
-    failures = 0
-    for _ in range(samples):
-        label, gamma = cycles[rng.randrange(len(cycles))]
+
+    def linearity(_):
+        gamma = cycles[rng.randrange(len(cycles))][1]
         k = rng.randint(0, dim)
         w1 = random_form(rng, dim, k, 3)
         w2 = random_form(rng, dim, k, 3)
         scale = random_fraction(rng)
-        if f_gamma(gamma, w1 + w2 * scale) != f_gamma(gamma, w1) + f_gamma(
+        return f_gamma(gamma, w1 + w2 * scale) != f_gamma(gamma, w1) + f_gamma(
             gamma, w2
-        ) * scale:
-            failures += 1
-    checks.append(_result("linearity_in_the_form", samples, failures))
+        ) * scale
 
+    checks.append(_sweep("linearity_in_the_form", samples, linearity))
     return checks
 
 
@@ -355,23 +347,20 @@ def cocycle_identity_suite(
     max_word_length: int,
 ) -> list[dict]:
     """Base primitive, staircase consistency, and the cocycle condition."""
-    checks = []
-
     base = state.omega + ext_d(state.phi(0)())
-    checks.append(_result("base_primitive", 1, 0 if base.is_zero() else 1))
+    checks = [_sweep("base_primitive", 1, lambda _: base)]
 
     level_samples = min(samples, 25)
     for i in range(1, state.p + 1):
         words = state.group.sample_words(
             level_samples * i, max_word_length, int(_rng(seed, f"desc{i}").random() * 10**9)
         )
-        failures = 0
-        for k in range(level_samples):
-            gs = words[k * i : (k + 1) * i]
-            if not state.descent_residual(i, gs).is_zero():
-                failures += 1
         checks.append(
-            _result(f"descent_consistency_level_{i}", level_samples, failures)
+            _sweep(
+                f"descent_consistency_level_{i}",
+                level_samples,
+                lambda k: state.descent_residual(i, words[k * i : (k + 1) * i]),
+            )
         )
 
     report = verify_cocycle_identity(
@@ -400,24 +389,14 @@ def closed_form_scenario_check(
         raise ScenarioError(
             "the closed-form comparison needs a constant-coefficient form"
         )
-    dim = omega.dim
-    m = omega.degree
-    origin = Chain.point([0] * dim)
+    origin = Chain.point([0] * omega.dim)
     rng = _rng(seed, "closed_scenario")
-    failures = 0
-    worst = Fraction(0)
-    for _ in range(samples):
-        vectors = [random_vector(rng, dim) for _ in range(m)]
-        gs = [PolyDiffeo.translation(v) for v in vectors]
-        residual = cocycle_eval(state, origin, gs) - closed_form_translation(
-            omega, vectors
-        )
-        if residual != 0:
-            failures += 1
-            worst = max(worst, abs(residual))
     return [
-        _result(
-            "translation_closed_form", samples, failures, max_abs_residual=worst
+        _sweep(
+            "translation_closed_form",
+            samples,
+            lambda _: _closed_form_residual(state, origin, rng),
+            rational=True,
         )
     ]
 
@@ -436,26 +415,23 @@ def closed_form_random_sweep(
         for i in range(dim)
     ]
     origin = Chain.point([0] * dim)
-    failures = 0
-    worst = Fraction(0)
-    for _ in range(samples):
+
+    def residual(_):
         omega = nonzero_constant_form(rng, dim, degree)
-        group = GroupPresentation(basis, [omega])
-        state = build_phi_sequence(omega, degree - 1, group)
-        vectors = [random_vector(rng, dim) for _ in range(degree)]
-        gs = [PolyDiffeo.translation(v) for v in vectors]
-        residual = cocycle_eval(state, origin, gs) - closed_form_translation(
-            omega, vectors
-        )
-        if residual != 0:
-            failures += 1
-            worst = max(worst, abs(residual))
-    return _result(
-        f"random_closed_form_degree_{degree}",
-        samples,
-        failures,
-        max_abs_residual=worst,
+        state = build_phi_sequence(omega, degree - 1, GroupPresentation(basis, [omega]))
+        return _closed_form_residual(state, origin, rng)
+
+    return _sweep(
+        f"random_closed_form_degree_{degree}", samples, residual, rational=True
     )
+
+
+def _closed_form_residual(state: ZigzagState, origin: Chain, rng) -> Fraction:
+    """The descent value minus (1/m!) w(a_1,...,a_m) on m random translations."""
+    omega = state.omega
+    vectors = [random_vector(rng, omega.dim) for _ in range(omega.degree)]
+    gs = [PolyDiffeo.translation(v) for v in vectors]
+    return cocycle_eval(state, origin, gs) - closed_form_translation(omega, vectors)
 
 
 # -- triviality --------------------------------------------------------------
@@ -565,7 +541,6 @@ def triviality_suite(
     """c = Db on cycle-fixing tuples, and the general comparison identity."""
     if subgroup not in ("linear", "stabilizer"):
         raise ScenarioError(f"unknown subgroup {subgroup!r}: use linear or stabilizer")
-    checks = []
     p = state.p
     width = p + 1
 
@@ -589,50 +564,37 @@ def triviality_suite(
 
     c = cocycle(state, alpha)
     b = b_cochain(state, alpha)
-    db = big_D(b)
-    failures = 0
-    worst = Fraction(0)
+    db = delta_prime(b, state.group.degree_cap)
     b_values = []
-    for k in range(samples):
+
+    def on_stabilizer(k):
         gs = tuple(pool[k * width : (k + 1) * width])
         residual = c(*gs) - db(*gs)
-        if residual != 0:
-            failures += 1
-            worst = max(worst, abs(residual))
         if len(b_values) < 5:
-            b_values.append(
-                {
-                    "tuple": [g.label or "?" for g in gs[:p]],
-                    "b": trivializing_cochain_b(state, alpha, gs[:p]),
-                }
-            )
-    checks.append(
-        _result(
+            b_values.append({"tuple": [g.label or "?" for g in gs[:p]], "b": b(*gs[:p])})
+        return residual
+
+    checks = [
+        _sweep(
             f"coboundary_on_{subgroup}_stabilizer",
             samples,
-            failures,
-            max_abs_residual=worst,
+            on_stabilizer,
+            rational=True,
             b_values=b_values,
         )
-    )
+    ]
 
     mixed = state.group.sample_words(
         samples * width, max_word_length, int(_rng(seed, "mixed").random() * 10**9)
     )
-    failures = 0
-    worst = Fraction(0)
-    for k in range(samples):
-        gs = tuple(mixed[k * width : (k + 1) * width])
-        residual = coboundary_comparison_residual(state, alpha, gs)
-        if residual != 0:
-            failures += 1
-            worst = max(worst, abs(residual))
     checks.append(
-        _result(
+        _sweep(
             "coboundary_comparison_identity",
             samples,
-            failures,
-            max_abs_residual=worst,
+            lambda k: coboundary_comparison_residual(
+                state, alpha, mixed[k * width : (k + 1) * width]
+            ),
+            rational=True,
         )
     )
     return checks
@@ -653,20 +615,17 @@ def point_independence_suite(
     words = state.group.sample_words(
         samples * width, max_word_length, int(_rng(seed, "points").random() * 10**9)
     )
-    failures = 0
-    worst = Fraction(0)
-    for k in range(samples):
+
+    def residual(k):
         gs = words[k * width : (k + 1) * width]
-        residual = cocycle_eval(state, first, gs) - cocycle_eval(state, second, gs)
-        if residual != 0:
-            failures += 1
-            worst = max(worst, abs(residual))
+        return cocycle_eval(state, first, gs) - cocycle_eval(state, second, gs)
+
     return [
-        _result(
+        _sweep(
             "point_cycle_independence",
             samples,
-            failures,
-            max_abs_residual=worst,
+            residual,
+            rational=True,
             points=[[Fraction(0)] * dim, [Fraction(v) for v in other_coords]],
         )
     ]

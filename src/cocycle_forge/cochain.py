@@ -1,9 +1,11 @@
 """Group cochains valued in forms or reals, and the cycle transgression.
 
-``FormCochain`` models an element of C^p(G, Omega^q(R^n)): a function of
-p-tuples of diffeomorphisms returning a polynomial form.  The group acts
-on forms from the right by pullback, w . g = g^* w.  ``RealCochain`` is
-the same with values in the reals as a trivial module.
+``Cochain(p, q, dim, evaluator)`` models an element of C^p(G, M): a
+function of p-tuples of diffeomorphisms of R^dim.  The form degree ``q``
+picks the module M.  An int q means M = Omega^q(R^dim), polynomial
+q-forms, on which the group acts from the right by pullback,
+w . g = g^* w.  ``q=None`` means M = R, the reals as a trivial module,
+where the cocycle c and the trivializing cochain b live.
 
 Cochains are lazy evaluators with memo tables rather than tables of
 values: the groups here are infinite, so identities are only ever
@@ -11,13 +13,16 @@ checked on sampled tuples.  Evaluators must be pure; the memo is then
 just a cache, and concurrent evaluation is linearizable because cache
 writes are idempotent (same key, same value).
 
-The differentials use the nonhomogeneous-cochain convention
+One group differential serves both modules, in the nonhomogeneous
+convention
 
     (d'f)(g_1,...,g_{p+1}) = f(g_2,...,g_{p+1})
         + sum_{i=1}^{p} (-1)^i f(g_1,...,g_i g_{i+1},...,g_{p+1})
         + (-1)^{p+1} f(g_1,...,g_p) . g_{p+1}
 
-with (d'f)(g) = f - g^* f in the bottom degree p = 0, and
+with (d'f)(g) = f - g^* f in the bottom degree p = 0; on reals the
+last term is plain f(g_1,...,g_p), and d' is the D of Dc = 0 and c = Db.
+The form-direction differential is
 
     (d''c)(g_1,...,g_p) = (-1)^p d(c(g_1,...,g_p)).
 
@@ -42,35 +47,42 @@ from .forms import PolyForm, PolyVectorField, ext_d, interior
 from .polynomial import as_fraction
 
 
-class FormCochain:
-    """A p-cochain on the diffeomorphism group with values in q-forms."""
+class Cochain:
+    """A p-cochain on the diffeomorphism group with values in a module.
 
-    __slots__ = ("p", "q", "dim", "degree_cap", "_evaluator", "_memo")
+    ``q`` selects the module: an int means q-forms on R^dim, acted on by
+    pullback; ``None`` means the reals as a trivial module.
+    """
+
+    __slots__ = ("p", "q", "dim", "_evaluator", "_memo")
 
     def __init__(
         self,
         p: int,
-        q: int,
+        q: int | None,
         dim: int,
-        evaluator: Callable[..., PolyForm],
-        *,
-        degree_cap: int = DEFAULT_DEGREE_CAP,
+        evaluator: Callable[..., PolyForm | Fraction],
     ):
-        if p < 0 or q < 0 or dim < 0:
+        if p < 0 or dim < 0 or (q is not None and q < 0):
             raise ValueError("degrees and dimension must be >= 0")
         self.p = p
         self.q = q
         self.dim = dim
-        self.degree_cap = int(degree_cap)
         self._evaluator = evaluator
-        self._memo: dict[tuple, PolyForm] = {}
+        self._memo: dict[tuple, PolyForm | Fraction] = {}
 
     @classmethod
-    def of_form(cls, form: PolyForm) -> FormCochain:
+    def of_form(cls, form: PolyForm) -> Cochain:
         """The 0-cochain whose single value is ``form``."""
         return cls(0, form.degree, form.dim, lambda: form)
 
-    def _check_tuple(self, gs: tuple):
+    @classmethod
+    def constant(cls, dim: int, value) -> Cochain:
+        """The real-valued 0-cochain whose single value is ``value``."""
+        v = as_fraction(value)
+        return cls(0, None, dim, lambda: v)
+
+    def __call__(self, *gs: PolyDiffeo) -> PolyForm | Fraction:
         if len(gs) != self.p:
             raise ValueError(f"{self.p}-cochain called on a {len(gs)}-tuple")
         for g in gs:
@@ -80,15 +92,14 @@ class FormCochain:
                 raise DimensionMismatchError(
                     f"cochain on R^{self.dim} called with a map of R^{g.dim}"
                 )
-
-    def __call__(self, *gs: PolyDiffeo) -> PolyForm:
-        self._check_tuple(gs)
         cached = self._memo.get(gs)
         if cached is None:
             cached = self._evaluator(*gs)
-            if not isinstance(cached, PolyForm):
+            if self.q is None:
+                cached = as_fraction(cached)
+            elif not isinstance(cached, PolyForm):
                 raise TypeError("cochain evaluator must return a PolyForm")
-            if cached.degree != self.q or cached.dim != self.dim:
+            elif cached.degree != self.q or cached.dim != self.dim:
                 raise ValueError(
                     f"evaluator returned a degree-{cached.degree} form on "
                     f"R^{cached.dim}, expected degree {self.q} on R^{self.dim}"
@@ -97,78 +108,34 @@ class FormCochain:
         return cached
 
     def __repr__(self):
-        return f"FormCochain(p={self.p}, q={self.q}, dim={self.dim})"
+        return f"Cochain(p={self.p}, q={self.q}, dim={self.dim})"
 
 
-class RealCochain:
-    """A p-cochain with values in the reals as a trivial module."""
-
-    __slots__ = ("p", "dim", "degree_cap", "_evaluator", "_memo")
-
-    def __init__(
-        self,
-        p: int,
-        dim: int,
-        evaluator: Callable[..., Fraction],
-        *,
-        degree_cap: int = DEFAULT_DEGREE_CAP,
-    ):
-        if p < 0 or dim < 0:
-            raise ValueError("degree and dimension must be >= 0")
-        self.p = p
-        self.dim = dim
-        self.degree_cap = int(degree_cap)
-        self._evaluator = evaluator
-        self._memo: dict[tuple, Fraction] = {}
-
-    @classmethod
-    def constant(cls, dim: int, value) -> RealCochain:
-        v = as_fraction(value)
-        return cls(0, dim, lambda: v)
-
-    def __call__(self, *gs: PolyDiffeo) -> Fraction:
-        if len(gs) != self.p:
-            raise ValueError(f"{self.p}-cochain called on a {len(gs)}-tuple")
-        for g in gs:
-            if not isinstance(g, PolyDiffeo):
-                raise TypeError(f"cochain argument {g!r} is not a PolyDiffeo")
-            if g.dim != self.dim:
-                raise DimensionMismatchError(
-                    f"cochain on R^{self.dim} called with a map of R^{g.dim}"
-                )
-        cached = self._memo.get(gs)
-        if cached is None:
-            cached = as_fraction(self._evaluator(*gs))
-            self._memo[gs] = cached
-        return cached
-
-    def __repr__(self):
-        return f"RealCochain(p={self.p}, dim={self.dim})"
-
-
-def delta_prime(c: FormCochain) -> FormCochain:
-    """The group-direction differential on form-valued cochains.
+def delta_prime(c: Cochain, degree_cap: int = DEFAULT_DEGREE_CAP) -> Cochain:
+    """The nonhomogeneous group differential, on either value module.
 
     Raises the group degree by one.  The last term acts through the
-    right module structure, i.e. by pullback along the final element.
+    right module structure: pullback along the final element on forms,
+    trivially on reals.  ``degree_cap`` bounds each merged product.
     """
     p = c.p
-    cap = c.degree_cap
 
-    def evaluator(*gs: PolyDiffeo) -> PolyForm:
+    def evaluator(*gs: PolyDiffeo):
         total = c(*gs[1:])
         for i in range(1, p + 1):
-            merged = gs[i - 1].compose(gs[i], degree_cap=cap)
+            merged = gs[i - 1].compose(gs[i], degree_cap=degree_cap)
             value = c(*gs[: i - 1], merged, *gs[i + 1 :])
             total = total - value if i % 2 else total + value
-        last = gs[-1].pullback_form(c(*gs[:-1]))
+        last = c(*gs[:-1])
+        if c.q is not None:
+            last = gs[-1].pullback_form(last)
         total = total + last if (p + 1) % 2 == 0 else total - last
         return total
 
-    return FormCochain(p + 1, c.q, c.dim, evaluator, degree_cap=cap)
+    return Cochain(p + 1, c.q, c.dim, evaluator)
 
 
-def delta_double_prime(c: FormCochain) -> FormCochain:
+def delta_double_prime(c: Cochain) -> Cochain:
     """The form-direction differential: (-1)^p times exterior d."""
     sign = -1 if c.p % 2 else 1
 
@@ -176,25 +143,7 @@ def delta_double_prime(c: FormCochain) -> FormCochain:
         d = ext_d(c(*gs))
         return d if sign > 0 else -d
 
-    return FormCochain(c.p, c.q + 1, c.dim, evaluator, degree_cap=c.degree_cap)
-
-
-def big_D(c: RealCochain) -> RealCochain:
-    """The group differential on real-valued cochains (trivial action)."""
-    p = c.p
-    cap = c.degree_cap
-
-    def evaluator(*gs: PolyDiffeo) -> Fraction:
-        total = c(*gs[1:])
-        for i in range(1, p + 1):
-            merged = gs[i - 1].compose(gs[i], degree_cap=cap)
-            value = c(*gs[: i - 1], merged, *gs[i + 1 :])
-            total = total - value if i % 2 else total + value
-        last = c(*gs[:-1])
-        total = total + last if (p + 1) % 2 == 0 else total - last
-        return total
-
-    return RealCochain(p + 1, c.dim, evaluator, degree_cap=cap)
+    return Cochain(c.p, c.q + 1, c.dim, evaluator)
 
 
 def f_gamma(gamma: Chain, omega: PolyForm, *, check_cycle: bool = True) -> PolyForm:
@@ -233,7 +182,7 @@ def f_gamma(gamma: Chain, omega: PolyForm, *, check_cycle: bool = True) -> PolyF
     return PolyForm(n, p, comps)
 
 
-def F_gamma(c: FormCochain, gamma: Chain, *, check_cycle: bool = True) -> FormCochain:
+def F_gamma(c: Cochain, gamma: Chain, *, check_cycle: bool = True) -> Cochain:
     """Compose a form-valued cochain with the transgression.
 
     Values become forms on the translation group; the group degree is
@@ -251,4 +200,4 @@ def F_gamma(c: FormCochain, gamma: Chain, *, check_cycle: bool = True) -> FormCo
     def evaluator(*gs: PolyDiffeo) -> PolyForm:
         return f_gamma(gamma, c(*gs), check_cycle=False)
 
-    return FormCochain(c.p, q_out, c.dim, evaluator, degree_cap=c.degree_cap)
+    return Cochain(c.p, q_out, c.dim, evaluator)

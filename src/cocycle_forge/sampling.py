@@ -22,13 +22,6 @@ def random_fraction(rng: random.Random, span: int = 4, max_den: int = 3) -> Frac
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
-def nonzero_fraction(rng: random.Random, span: int = 4, max_den: int = 3) -> Fraction:
-    while True:
-        f = random_fraction(rng, span, max_den)
-        if f:
-            return f
-
-
 def random_vector(rng: random.Random, dim: int, span: int = 4) -> tuple[Fraction, ...]:
     return tuple(random_fraction(rng, span) for _ in range(dim))
 
@@ -117,12 +110,6 @@ def random_chain(
     for _ in range(simplices):
         terms[random_simplex(rng, ambient, dim)] = random_fraction(rng)
     return Chain(dim, ambient, terms)
-
-
-def random_translation_vectors(
-    rng: random.Random, dim: int, count: int, span: int = 4
-) -> list[tuple[Fraction, ...]]:
-    return [random_vector(rng, dim, span) for _ in range(count)]
 
 
 def random_polynomial_map(

@@ -61,7 +61,6 @@ class ScenarioConfig:
         "group",
         "cycle",
         "descent_p",
-        "homotopy",
         "samples",
         "max_word_length",
         "seed",
@@ -77,7 +76,6 @@ class ScenarioConfig:
         group: GroupPresentation,
         cycle: Chain,
         descent_p: int,
-        homotopy: str,
         samples: int,
         max_word_length: int,
         seed: int,
@@ -90,7 +88,6 @@ class ScenarioConfig:
         self.group = group
         self.cycle = cycle
         self.descent_p = descent_p
-        self.homotopy = homotopy
         self.samples = samples
         self.max_word_length = max_word_length
         self.seed = seed
@@ -255,8 +252,12 @@ def load_scenario(path: str) -> ScenarioConfig:
         set(descent) <= {"p", "homotopy"},
         f"unknown descent keys: {sorted(set(descent) - {'p', 'homotopy'})}",
     )
-    default_p = named_forms[0][1].degree - 1
-    descent_p = _int_field(descent, "p", default_p, 0)
+    m = named_forms[0][1].degree
+    descent_p = _int_field(descent, "p", m - 1, 0)
+    _require(
+        descent_p <= m - 1,
+        f"descent p must be in 0..{m - 1} for a degree-{m} form, got {descent_p}",
+    )
     homotopy = descent.get("homotopy", "poincare-origin")
     _require(
         homotopy == "poincare-origin",
@@ -273,7 +274,6 @@ def load_scenario(path: str) -> ScenarioConfig:
         group=group,
         cycle=cycle,
         descent_p=descent_p,
-        homotopy=homotopy,
         samples=samples,
         max_word_length=max_word_length,
         seed=seed,

@@ -37,13 +37,12 @@ sides of this identity directly; it must always vanish.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from fractions import Fraction
 from typing import Sequence
 
-from .chains import Chain, integrate, is_cycle, pushforward, require_cycle
-from .cochain import FormCochain, RealCochain, big_D, delta_double_prime, delta_prime
+from .chains import Chain, integrate, pushforward, require_cycle
+from .cochain import Cochain, delta_double_prime, delta_prime
 from .diffeo import GroupPresentation, PolyDiffeo
 from .errors import (
     DimensionMismatchError,
@@ -59,9 +58,10 @@ class ZigzagState:
 
     ``phis[i]`` is an i-cochain valued in forms of degree m-i-1; the
     cached ``delta_prime_phi(i)`` cochains share memo tables across all
-    downstream evaluations.  Direct construction is allowed (the test
-    suite uses it to corrupt a level on purpose); ``build_phi_sequence``
-    is the checked factory.
+    downstream evaluations.  ``dprimes`` seeds that cache with
+    d'phi_0, d'phi_1, ... already built over these phis.  Direct
+    construction is allowed (the test suite uses it to corrupt a level
+    on purpose); ``build_phi_sequence`` is the checked factory.
     """
 
     __slots__ = ("omega", "p", "group", "phis", "_dprimes")
@@ -71,7 +71,8 @@ class ZigzagState:
         omega: PolyForm,
         p: int,
         group: GroupPresentation,
-        phis: Sequence[FormCochain],
+        phis: Sequence[Cochain],
+        dprimes: Sequence[Cochain] = (),
     ):
         self.omega = omega
         self.p = p
@@ -79,20 +80,20 @@ class ZigzagState:
         self.phis = tuple(phis)
         if len(self.phis) != p + 1:
             raise ValueError(f"descent to depth {p} needs {p + 1} cochains")
-        self._dprimes: dict[int, FormCochain] = {}
+        self._dprimes: dict[int, Cochain] = dict(enumerate(dprimes))
 
     @property
     def m(self) -> int:
         return self.omega.degree
 
-    def phi(self, i: int) -> FormCochain:
+    def phi(self, i: int) -> Cochain:
         return self.phis[i]
 
-    def delta_prime_phi(self, i: int) -> FormCochain:
+    def delta_prime_phi(self, i: int) -> Cochain:
         """d'phi_i, built once and memoized."""
         cached = self._dprimes.get(i)
         if cached is None:
-            cached = delta_prime(self.phis[i])
+            cached = delta_prime(self.phis[i], self.group.degree_cap)
             self._dprimes[i] = cached
         return cached
 
@@ -135,18 +136,19 @@ def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> Zig
             "dimension and the resulting real cocycle vanishes identically on R^n",
             stacklevel=2,
         )
-    cap = group.degree_cap
     phi0_value = -poincare_h(omega)
-    phis = [FormCochain(0, m - 1, omega.dim, lambda: phi0_value, degree_cap=cap)]
+    phis = [Cochain(0, m - 1, omega.dim, lambda: phi0_value)]
+    # Level i holds d'phi_{i-1} itself and the state is handed the same
+    # cochains, so each level has one memo.  Reading it through the state
+    # instead would tie the state and its memos into a reference cycle,
+    # left for the cyclic garbage collector to free.
     dprimes = []
     for i in range(1, p + 1):
-        previous_dprime = delta_prime(phis[i - 1])
-        dprimes.append(previous_dprime)
-        sign = 1 if (i + 1) % 2 == 0 else -1
+        dprimes.append(delta_prime(phis[i - 1], group.degree_cap))
 
-        def evaluator(*gs, _dp=previous_dprime, _sign=sign, _i=i):
+        def evaluator(*gs, _dp=dprimes[-1], _i=i):
             rhs = _dp(*gs)
-            if _sign < 0:
+            if _i % 2 == 0:
                 rhs = -rhs
             if not ext_d(rhs).is_zero():
                 raise NotClosedError(
@@ -155,11 +157,8 @@ def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> Zig
                 )
             return poincare_h(rhs)
 
-        phis.append(FormCochain(i, m - i - 1, omega.dim, evaluator, degree_cap=cap))
-    state = ZigzagState(omega, p, group, phis)
-    for i, dp in enumerate(dprimes):
-        state._dprimes[i] = dp
-    return state
+        phis.append(Cochain(i, m - i - 1, omega.dim, evaluator))
+    return ZigzagState(omega, p, group, phis, dprimes)
 
 
 def _check_alpha(state: ZigzagState, alpha: Chain):
@@ -175,7 +174,7 @@ def _check_alpha(state: ZigzagState, alpha: Chain):
         warnings.warn(
             "positive-dimensional cycle on R^n: the coefficient module is "
             "trivial, so the cocycle vanishes identically",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -183,24 +182,22 @@ def cocycle_eval(
     state: ZigzagState, alpha: Chain, gs: Sequence[PolyDiffeo]
 ) -> Fraction:
     """The cocycle value int_alpha (d'phi_p)(g_1,...,g_{p+1})."""
-    gs = tuple(gs)
-    if len(gs) != state.p + 1:
-        raise ValueError(f"cocycle takes {state.p + 1}-tuples, got {len(gs)}")
-    _check_alpha(state, alpha)
-    return integrate(state.delta_prime_phi(state.p)(*gs), alpha)
+    return cocycle(state, alpha)(*gs)
 
 
-def cocycle(state: ZigzagState, alpha: Chain) -> RealCochain:
-    """The cocycle as a reusable (p+1)-cochain."""
+def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:
+    """The real-valued cochain int_alpha integrand(g_1,...), same group degree."""
     _check_alpha(state, alpha)
-    integrand = state.delta_prime_phi(state.p)
 
     def evaluator(*gs: PolyDiffeo) -> Fraction:
         return integrate(integrand(*gs), alpha)
 
-    return RealCochain(
-        state.p + 1, state.omega.dim, evaluator, degree_cap=state.group.degree_cap
-    )
+    return Cochain(integrand.p, None, integrand.dim, evaluator)
+
+
+def cocycle(state: ZigzagState, alpha: Chain) -> Cochain:
+    """The cocycle as a reusable real-valued (p+1)-cochain."""
+    return _integral(state, alpha, state.delta_prime_phi(state.p))
 
 
 def closed_form_translation(omega: PolyForm, vectors: Sequence[Sequence]) -> Fraction:
@@ -223,24 +220,12 @@ def trivializing_cochain_b(
     state: ZigzagState, alpha: Chain, gs: Sequence[PolyDiffeo]
 ) -> Fraction:
     """b(g_1,...,g_p) = int_alpha phi_p(g_1,...,g_p)."""
-    gs = tuple(gs)
-    if len(gs) != state.p:
-        raise ValueError(f"b takes {state.p}-tuples, got {len(gs)}")
-    _check_alpha(state, alpha)
-    return integrate(state.phi(state.p)(*gs), alpha)
+    return b_cochain(state, alpha)(*gs)
 
 
-def b_cochain(state: ZigzagState, alpha: Chain) -> RealCochain:
-    """The trivializing cochain as a reusable p-cochain."""
-    _check_alpha(state, alpha)
-    phi_p = state.phi(state.p)
-
-    def evaluator(*gs: PolyDiffeo) -> Fraction:
-        return integrate(phi_p(*gs), alpha)
-
-    return RealCochain(
-        state.p, state.omega.dim, evaluator, degree_cap=state.group.degree_cap
-    )
+def b_cochain(state: ZigzagState, alpha: Chain) -> Cochain:
+    """The trivializing cochain as a reusable real-valued p-cochain."""
+    return _integral(state, alpha, state.phi(state.p))
 
 
 def coboundary_comparison_residual(
@@ -266,7 +251,7 @@ def coboundary_comparison_residual(
     moved = integrate(phi_val, pushforward(g, alpha))
     b_val = integrate(phi_val, alpha)
     sign = 1 if (state.p + 1) % 2 == 0 else -1
-    db = big_D(b_cochain(state, alpha))(*gs)
+    db = delta_prime(b_cochain(state, alpha), state.group.degree_cap)(*gs)
     rhs = sign * (moved - b_val) + db
     return lhs - rhs
 
@@ -279,13 +264,12 @@ def verify_cocycle_identity(
     *,
     max_word_length: int = 3,
 ) -> dict:
-    """Evaluate Dc on seeded (p+2)-tuples; report violations and timing.
+    """Evaluate Dc on seeded (p+2)-tuples; report the violations.
 
     Every residual must be exactly zero; any other outcome is an
     implementation bug, and the report exists to catch exactly that.
     """
-    start = time.perf_counter()
-    dc = big_D(cocycle(state, alpha))
+    dc = delta_prime(cocycle(state, alpha), state.group.degree_cap)
     width = state.p + 2
     words = state.group.sample_words(samples * width, max_word_length, seed)
     violations = 0
@@ -300,5 +284,4 @@ def verify_cocycle_identity(
         "samples": samples,
         "violations": violations,
         "max_abs_residual": max_abs,
-        "elapsed_seconds": time.perf_counter() - start,
     }

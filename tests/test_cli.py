@@ -169,6 +169,17 @@ class TestExitCodes:
         assert code == 1
         assert report["pass"] is False
 
+    def test_descent_p_out_of_range_is_config_error(self, capsys, tmp_path):
+        data = json.loads(Path(R2).read_text())
+        data["descent"]["p"] = 5
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        code, report = run_main(capsys, "build-cocycle", "--scenario", str(path))
+        assert code == 2
+        assert report["pass"] is False
+        assert report["error"]["type"] == "ScenarioError"
+        assert "descent p" in report["error"]["message"]
+
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["make-plots", "--scenario", R1])

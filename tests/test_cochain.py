@@ -7,16 +7,18 @@ import pytest
 
 from cocycle_forge.chains import Chain
 from cocycle_forge.cochain import (
+    Cochain,
     F_gamma,
-    FormCochain,
-    RealCochain,
-    big_D,
     delta_double_prime,
     delta_prime,
     f_gamma,
 )
 from cocycle_forge.diffeo import GroupPresentation, PolyDiffeo
-from cocycle_forge.errors import DimensionMismatchError, NotACycleError
+from cocycle_forge.errors import (
+    DegreeCapExceededError,
+    DimensionMismatchError,
+    NotACycleError,
+)
 from cocycle_forge.forms import PolyForm, ext_d
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.sampling import random_form, random_vector
@@ -38,17 +40,17 @@ def sample_group():
 class TestCochainBasics:
     def test_of_form_ignores_arguments(self):
         w = PolyForm.volume(2)
-        c = FormCochain.of_form(w)
+        c = Cochain.of_form(w)
         assert c.p == 0
         assert c() == w
 
     def test_arity_enforced(self):
-        c = FormCochain.of_form(PolyForm.volume(2))
+        c = Cochain.of_form(PolyForm.volume(2))
         with pytest.raises(ValueError):
             c(PolyDiffeo.identity(2))
 
     def test_dimension_enforced(self):
-        c = FormCochain(1, 0, 2, lambda g: PolyForm.constant_function(2, 1))
+        c = Cochain(1, 0, 2, lambda g: PolyForm.constant_function(2, 1))
         with pytest.raises(DimensionMismatchError):
             c(PolyDiffeo.identity(3))
 
@@ -59,17 +61,17 @@ class TestCochainBasics:
             calls.append(g)
             return PolyForm.constant_function(2, 1)
 
-        c = FormCochain(1, 0, 2, evaluator)
+        c = Cochain(1, 0, 2, evaluator)
         g = PolyDiffeo.translation([1, 0])
         c(g)
         c(PolyDiffeo.translation([1, 0], "other-label"))
         assert len(calls) == 1  # same map, label aside
 
     def test_real_cochain_type_checks(self):
-        c = RealCochain.constant(2, "2/3")
+        c = Cochain.constant(2, "2/3")
         assert c() == Fraction(2, 3)
         with pytest.raises(TypeError):
-            RealCochain(1, 2, lambda g: Fraction(1))("not a map")
+            Cochain(1, None, 2, lambda g: Fraction(1))("not a map")
 
 
 class TestDeltaPrime:
@@ -77,12 +79,12 @@ class TestDeltaPrime:
         # (d'f)(g) = f - g*f for a 0-cochain
         x = Polynomial.variable(2, 0)
         w = PolyForm.dx(2, 1) * x
-        c = FormCochain.of_form(w)
+        c = Cochain.of_form(w)
         g = PolyDiffeo.translation([2, 0])
         assert delta_prime(c)(g) == w - g.pullback_form(w)
 
     def test_invariant_form_is_closed(self):
-        c = FormCochain.of_form(PolyForm.volume(2))
+        c = Cochain.of_form(PolyForm.volume(2))
         for g in sample_group().generators:
             assert delta_prime(c)(g).is_zero()
 
@@ -90,7 +92,7 @@ class TestDeltaPrime:
         rng = seeded("dp2")
         group = sample_group()
         w = random_form(rng, 2, 1, 2)
-        c = FormCochain.of_form(w)
+        c = Cochain.of_form(w)
         dd = delta_prime(delta_prime(c))
         for gs in zip(
             group.sample_words(8, 2, 3), group.sample_words(8, 2, 4)
@@ -105,7 +107,7 @@ class TestDeltaPrime:
         def evaluator(g, _theta=theta):
             return g.pullback_form(_theta)
 
-        c = FormCochain(1, 1, 2, evaluator)
+        c = Cochain(1, 1, 2, evaluator)
         dd = delta_prime(delta_prime(c))
         words = group.sample_words(24, 2, 9)
         for k in range(8):
@@ -115,11 +117,29 @@ class TestDeltaPrime:
         rng = seeded("anti")
         group = sample_group()
         w = random_form(rng, 2, 1, 2)
-        c = FormCochain.of_form(w)
+        c = Cochain.of_form(w)
         lhs = delta_prime(delta_double_prime(c))
         rhs = delta_double_prime(delta_prime(c))
         for g in group.sample_words(8, 2, 5):
             assert (lhs(g) + rhs(g)).is_zero()
+
+
+class TestDegreeCap:
+    @pytest.mark.parametrize(
+        "cochain",
+        [
+            Cochain(1, 0, 2, lambda g: PolyForm.constant_function(2, 1)),
+            Cochain(1, None, 2, lambda g: Fraction(1)),
+        ],
+        ids=["forms", "reals"],
+    )
+    def test_over_cap_merge_refused(self, cochain):
+        # the merged product of two quadratic shears has degree bound 4
+        sigma = sample_group().generator("sigma")
+        with pytest.raises(DegreeCapExceededError):
+            delta_prime(cochain, degree_cap=3)(sigma, sigma)
+        # a constant c gives (d'c)(g, h) = c - c + c, on either module
+        assert delta_prime(cochain, degree_cap=4)(sigma, sigma) == cochain(sigma)
 
 
 class TestBigD:
@@ -130,8 +150,8 @@ class TestBigD:
         def evaluator(g):
             return values.setdefault(g, Fraction(len(values), 7))
 
-        b = RealCochain(1, 2, evaluator)
-        db = big_D(b)
+        b = Cochain(1, None, 2, evaluator)
+        db = delta_prime(b)
         g = PolyDiffeo.translation([1, 0])
         h = PolyDiffeo.translation([0, 1])
         assert db(g, h) == b(h) - b(g.compose(h)) + b(g)
@@ -145,8 +165,8 @@ class TestBigD:
                 sum(int(c.evaluate((1, 2))) for c in g.forward) % 11, 3
             )
 
-        b = RealCochain(1, 2, evaluator)
-        dd = big_D(big_D(b))
+        b = Cochain(1, None, 2, evaluator)
+        dd = delta_prime(delta_prime(b))
         words = group.sample_words(24, 2, 6)
         for k in range(8):
             assert dd(*words[3 * k : 3 * k + 3]) == 0
@@ -213,7 +233,7 @@ class TestFGammaOnCochains:
             def evaluator(g, _theta=theta):
                 return g.pullback_form(_theta)
 
-            c = FormCochain(1, theta.degree, 2, evaluator)
+            c = Cochain(1, theta.degree, 2, evaluator)
             lhs = delta_prime(F_gamma(c, loop))
             rhs = F_gamma(delta_prime(c), loop)
             a = PolyDiffeo.translation(random_vector(rng, 2))
@@ -222,7 +242,7 @@ class TestFGammaOnCochains:
 
     def test_preserves_group_degree(self):
         loop = Chain.triangle_loop((0, 0), (1, 0), (0, 1))
-        c = FormCochain(1, 2, 2, lambda g: PolyForm.volume(2))
+        c = Cochain(1, 2, 2, lambda g: PolyForm.volume(2))
         out = F_gamma(c, loop)
         assert out.p == 1
         assert out.q == 1  # the chain dimension is subtracted from q

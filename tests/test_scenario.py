@@ -142,6 +142,12 @@ class TestValidation:
         config = load_scenario(write_scenario(tmp_path, data))
         assert config.descent_p == 1  # degree 2 form
 
+    def test_descent_p_above_top_level(self, tmp_path):
+        data = minimal_scenario()
+        data["descent"]["p"] = 5
+        with pytest.raises(ScenarioError, match=r"descent p must be in 0\.\.1"):
+            load_scenario(write_scenario(tmp_path, data))
+
 
 class TestGeneratorSpecs:
     def test_shear_axis_is_one_based(self):

@@ -14,7 +14,7 @@ import sympy as sp
 
 import descent_oracle
 from cocycle_forge.chains import Chain
-from cocycle_forge.cochain import FormCochain, big_D
+from cocycle_forge.cochain import Cochain, delta_prime
 from cocycle_forge.diffeo import GroupPresentation, PolyDiffeo
 from cocycle_forge.errors import (
     DimensionMismatchError,
@@ -231,7 +231,7 @@ class TestCocycleCondition:
         sigma = area_state.group.generator("sigma")
         t1 = area_state.group.generator("T1")
         t2 = area_state.group.generator("T2")
-        dc = big_D(c)
+        dc = delta_prime(c)
         assert dc(sigma, t1, t2) == 0
         assert dc(t2, sigma, sigma) == 0
 
@@ -242,11 +242,11 @@ class TestCocycleCondition:
         bump = PolyForm.from_polynomial(Polynomial(2, {(0, 2): Fraction(1)}))
         good_phi1 = area_state.phi(1)
 
-        bad_phi1 = FormCochain(1, 0, 2, lambda g: good_phi1(g) + bump)
+        bad_phi1 = Cochain(1, 0, 2, lambda g: good_phi1(g) + bump)
         bad_state = ZigzagState(
             area_state.omega, 1, area_state.group, [area_state.phi(0), bad_phi1]
         )
-        dc = big_D(cocycle(bad_state, ORIGIN2))
+        dc = delta_prime(cocycle(bad_state, ORIGIN2))
         t1 = area_state.group.generator("T1")
         t2 = area_state.group.generator("T2")
         assert dc(t1, t2, t2) != 0
@@ -269,7 +269,7 @@ class TestTriviality:
         shear_up = PolyDiffeo.linear([[1, 0], [1, 1]], "low")
         shear_right = PolyDiffeo.linear([[1, "2/3"], [0, 1]], "up")
         c = cocycle(area_state, ORIGIN2)
-        db = big_D(b_cochain(area_state, ORIGIN2))
+        db = delta_prime(b_cochain(area_state, ORIGIN2))
         for pair in [
             (shear_up, shear_right),
             (shear_right, shear_up),

@@ -232,11 +232,13 @@ def _dirichlet(exponents: Sequence[int]) -> Fraction:
     return Fraction(num, math.factorial(q + sum(exponents)))
 
 
-def _simplex_integral_symbolic(form: PolyForm, simplex: AffineSimplex) -> Polynomial:
+def _simplex_integral(form: PolyForm, simplex: AffineSimplex, translated: bool) -> Polynomial:
     """Integral of ``form`` over the g-translate of ``simplex``.
 
-    Returns a polynomial in the n translation coordinates g_1..g_n.
-    Works uniformly for q = 0 (signed evaluation at g + vertex).
+    Returns a polynomial in the n translation coordinates g_1..g_n; with
+    ``translated`` false, g = 0 is substituted first and the result is
+    the constant integral over ``simplex`` itself.  Works uniformly for
+    q = 0 (signed evaluation at g + vertex).
     """
     n = simplex.ambient
     q = simplex.dim
@@ -247,55 +249,22 @@ def _simplex_integral_symbolic(form: PolyForm, simplex: AffineSimplex) -> Polyno
     ]
     substitution = []
     for i in range(n):
-        coord = Polynomial.variable(big, i) + Polynomial.constant(big, v0[i])
+        coord = Polynomial.constant(big, v0[i])
+        if translated:
+            coord = coord + Polynomial.variable(big, i)
         for j, edge in enumerate(edges):
             if edge[i]:
                 coord = coord + Polynomial.variable(big, n + j) * edge[i]
         substitution.append(coord)
-    total: dict[tuple, Fraction] = {}
+    total = Polynomial.zero(n)
     for idx, poly in form.components.items():
-        if q:
-            jac = det([[edge[a] for a in idx] for edge in edges])
-            if not jac:
-                continue
-        else:
-            jac = Fraction(1)
-        pulled = poly.compose(substitution)
-        for exp, coeff in pulled.terms.items():
-            weight = coeff * jac * _dirichlet(exp[n:])
-            if not weight:
-                continue
-            g_exp = exp[:n]
-            acc = total.get(g_exp, Fraction(0)) + weight
-            if acc:
-                total[g_exp] = acc
-            else:
-                total.pop(g_exp, None)
-    return Polynomial(n, total)
-
-
-def _simplex_integral(form: PolyForm, simplex: AffineSimplex) -> Fraction:
-    n = simplex.ambient
-    q = simplex.dim
-    v0 = simplex.vertices[0]
-    if q == 0:
-        return form.coefficient(()).evaluate(v0)
-    edges = [tuple(v[i] - v0[i] for i in range(n)) for v in simplex.vertices[1:]]
-    substitution = []
-    for i in range(n):
-        coord = Polynomial.constant(q, v0[i])
-        for j, edge in enumerate(edges):
-            if edge[i]:
-                coord = coord + Polynomial.variable(q, j) * edge[i]
-        substitution.append(coord)
-    total = Fraction(0)
-    for idx, poly in form.components.items():
-        jac = det([[edge[a] for a in idx] for edge in edges])
+        jac = det([[edge[a] for a in idx] for edge in edges]) if q else 1
         if not jac:
             continue
         pulled = poly.compose(substitution)
-        for exp, coeff in pulled.terms.items():
-            total += coeff * jac * _dirichlet(exp)
+        total = total + pulled.map_monomials(
+            n, lambda exp: (exp[:n], jac * _dirichlet(exp[n:]))
+        )
     return total
 
 
@@ -318,7 +287,7 @@ def integrate(form: PolyForm, chain: Chain) -> Fraction:
     _check_match(form, chain)
     total = Fraction(0)
     for simplex, coeff in chain.terms.items():
-        total += coeff * _simplex_integral(form, simplex)
+        total += coeff * _simplex_integral(form, simplex, False).constant_term()
     return total
 
 
@@ -332,7 +301,7 @@ def integrate_translated(form: PolyForm, chain: Chain) -> Polynomial:
     _check_match(form, chain)
     total = Polynomial.zero(chain.ambient)
     for simplex, coeff in chain.terms.items():
-        total = total + _simplex_integral_symbolic(form, simplex) * coeff
+        total = total + _simplex_integral(form, simplex, True) * coeff
     return total
 
 

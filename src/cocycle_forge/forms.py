@@ -58,6 +58,12 @@ def _merge_sign(left: Index, right: Index) -> tuple[Index, int]:
     return tuple(merged), sign
 
 
+def _accumulate(comps: dict, idx: Index, poly: Polynomial):
+    """comps[idx] += poly; zero sums stay in place for ``PolyForm._raw`` to drop."""
+    s = comps.get(idx)
+    comps[idx] = poly if s is None else s + poly
+
+
 class PolyForm:
     """Differential form on R^n with polynomial coefficients.
 
@@ -88,6 +94,20 @@ class PolyForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _raw(cls, dim: int, degree: int, components: Mapping[Index, Polynomial]) -> PolyForm:
+        """Trusted constructor for the results of form operations: every
+        index is valid and every coefficient a dimension-``dim`` polynomial.
+        Zero coefficients are dropped."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(
+            form, "components", {i: p for i, p in components.items() if not p.is_zero()}
+        )
+        object.__setattr__(form, "_hash", None)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyForm is immutable")
@@ -129,9 +149,6 @@ class PolyForm:
     def coefficient(self, idx: Sequence[int]) -> Polynomial:
         return self.components.get(tuple(idx), Polynomial.zero(self.dim))
 
-    def coefficient_degree(self) -> int:
-        return max((p.degree() for p in self.components.values()), default=0)
-
     def is_constant_coefficient(self) -> bool:
         return all(p.degree() == 0 for p in self.components.values())
 
@@ -149,15 +166,11 @@ class PolyForm:
         self._require_compatible(other)
         comps = dict(self.components)
         for idx, p in other.components.items():
-            s = comps.get(idx, Polynomial.zero(self.dim)) + p
-            if s.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = s
-        return PolyForm(self.dim, self.degree, comps)
+            _accumulate(comps, idx, p)
+        return PolyForm._raw(self.dim, self.degree, comps)
 
     def __neg__(self) -> PolyForm:
-        return PolyForm(self.dim, self.degree, {i: -p for i, p in self.components.items()})
+        return PolyForm._raw(self.dim, self.degree, {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other: PolyForm) -> PolyForm:
         return self + (-other)
@@ -168,7 +181,7 @@ class PolyForm:
             factor = scalar
         else:
             factor = Polynomial.constant(self.dim, as_fraction(scalar))
-        return PolyForm(
+        return PolyForm._raw(
             self.dim, self.degree, {i: p * factor for i, p in self.components.items()}
         )
 
@@ -282,13 +295,8 @@ def wedge(alpha: PolyForm, beta: PolyForm) -> PolyForm:
                 if set1.intersection(i2):
                     continue
                 merged, sign = _merge_sign(i1, i2)
-                add = p1 * p2 if sign > 0 else -(p1 * p2)
-                s = comps.get(merged, Polynomial.zero(n)) + add
-                if s.is_zero():
-                    comps.pop(merged, None)
-                else:
-                    comps[merged] = s
-    return PolyForm(n, k, comps)
+                _accumulate(comps, merged, p1 * p2 if sign > 0 else -(p1 * p2))
+    return PolyForm._raw(n, k, comps)
 
 
 def ext_d(alpha: PolyForm) -> PolyForm:
@@ -305,13 +313,8 @@ def ext_d(alpha: PolyForm) -> PolyForm:
                 continue
             pos = sum(1 for a in idx if a < axis)
             merged = tuple(sorted(idx + (axis,)))
-            add = dp if pos % 2 == 0 else -dp
-            s = comps.get(merged, Polynomial.zero(n)) + add
-            if s.is_zero():
-                comps.pop(merged, None)
-            else:
-                comps[merged] = s
-    return PolyForm(n, alpha.degree + 1, comps)
+            _accumulate(comps, merged, dp if pos % 2 == 0 else -dp)
+    return PolyForm._raw(n, alpha.degree + 1, comps)
 
 
 def interior(field: PolyVectorField, alpha: PolyForm) -> PolyForm:
@@ -333,14 +336,8 @@ def interior(field: PolyVectorField, alpha: PolyForm) -> PolyForm:
                 continue
             reduced = idx[:j] + idx[j + 1 :]
             add = poly * comp
-            if j % 2:
-                add = -add
-            s = comps.get(reduced, Polynomial.zero(n)) + add
-            if s.is_zero():
-                comps.pop(reduced, None)
-            else:
-                comps[reduced] = s
-    return PolyForm(n, alpha.degree - 1, comps)
+            _accumulate(comps, reduced, -add if j % 2 else add)
+    return PolyForm._raw(n, alpha.degree - 1, comps)
 
 
 def pullback(map_components: Sequence[Polynomial], alpha: PolyForm) -> PolyForm:
@@ -364,12 +361,12 @@ def pullback(map_components: Sequence[Polynomial], alpha: PolyForm) -> PolyForm:
         if c.dim != m:
             raise DimensionMismatchError("map components disagree on source dimension")
     differentials = [
-        PolyForm(m, 1, {(j,): comps[i].partial(j) for j in range(m)})
+        PolyForm._raw(m, 1, {(j,): comps[i].partial(j) for j in range(m)})
         for i in range(alpha.dim)
     ]
     result = PolyForm.zero(m, alpha.degree)
     for idx, poly in alpha.components.items():
-        piece = PolyForm.from_polynomial(poly.compose(comps))
+        piece = PolyForm._raw(m, 0, {(): poly.compose(comps)})
         for axis in idx:
             piece = wedge(piece, differentials[axis])
         result = result + piece
@@ -388,28 +385,17 @@ def poincare_h(alpha: PolyForm) -> PolyForm:
     k = alpha.degree
     if k == 0:
         return PolyForm.zero(n, 0)
-    comps: dict[Index, dict[tuple, Fraction]] = {}
+    comps: dict[Index, Polynomial] = {}
     for idx, poly in alpha.components.items():
-        for exp, coeff in poly.terms.items():
-            s = sum(exp)
-            factor = Fraction(1, k + s)
-            for j, axis in enumerate(idx):
-                reduced = idx[:j] + idx[j + 1 :]
+        for j, axis in enumerate(idx):
+
+            def contract(exp, _axis=axis, _sign=-1 if j % 2 else 1):
                 new_exp = list(exp)
-                new_exp[axis] += 1
-                add = coeff * factor
-                if j % 2:
-                    add = -add
-                bucket = comps.setdefault(reduced, {})
-                key = tuple(new_exp)
-                total = bucket.get(key, Fraction(0)) + add
-                if total:
-                    bucket[key] = total
-                else:
-                    bucket.pop(key, None)
-    return PolyForm(
-        n, k - 1, {idx: Polynomial(n, terms) for idx, terms in comps.items()}
-    )
+                new_exp[_axis] += 1
+                return tuple(new_exp), Fraction(_sign, k + sum(exp))
+
+            _accumulate(comps, idx[:j] + idx[j + 1 :], poly.map_monomials(n, contract))
+    return PolyForm._raw(n, k - 1, comps)
 
 
 def lie_derivative(field: PolyVectorField, alpha: PolyForm) -> PolyForm:

@@ -13,6 +13,7 @@ Also hosts the little exact linear algebra the rest of the code needs
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -55,6 +56,16 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _raw(cls, dim: int, terms: dict) -> Polynomial:
+        """Trusted constructor for ring-op results: ``terms`` already maps
+        length-``dim`` exponent tuples to nonzero Fractions and is not copied."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -62,11 +73,12 @@ class Polynomial:
 
     @classmethod
     def zero(cls, dim: int) -> Polynomial:
-        return cls(dim)
+        return cls._raw(dim, {})
 
     @classmethod
     def constant(cls, dim: int, value) -> Polynomial:
-        return cls(dim, {(0,) * dim: as_fraction(value)})
+        c = as_fraction(value)
+        return cls._raw(dim, {(0,) * dim: c} if c else {})
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> Polynomial:
@@ -75,7 +87,7 @@ class Polynomial:
             raise ValueError(f"axis {axis} out of range for dimension {dim}")
         exp = [0] * dim
         exp[axis] = 1
-        return cls(dim, {tuple(exp): Fraction(1)})
+        return cls._raw(dim, {tuple(exp): Fraction(1)})
 
     # -- queries -----------------------------------------------------------
 
@@ -107,17 +119,17 @@ class Polynomial:
         self._require_same_dim(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
+            s = terms.get(exp, 0) + c
             if s:
                 terms[exp] = s
             else:
-                terms.pop(exp, None)
-        return Polynomial(self.dim, terms)
+                del terms[exp]
+        return Polynomial._raw(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -132,18 +144,15 @@ class Polynomial:
             c = as_fraction(other)
             if not c:
                 return Polynomial.zero(self.dim)
-            return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._raw(self.dim, {e: c * v for e, v in self.terms.items()})
         self._require_same_dim(other)
         acc: dict[tuple, Fraction] = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    acc[exp] = s
-                else:
-                    acc.pop(exp, None)
-        return Polynomial(self.dim, acc)
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + c1 * c2
+        return Polynomial._raw(self.dim, {e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -172,7 +181,7 @@ class Polynomial:
             new = list(exp)
             new[axis] = e - 1
             acc[tuple(new)] = c * e
-        return Polynomial(self.dim, acc)
+        return Polynomial._raw(self.dim, acc)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.dim:
@@ -196,39 +205,48 @@ class Polynomial:
                 f"need {self.dim} substitution polynomials, got {len(args)}"
             )
         if self.dim == 0:
-            return Polynomial(0, dict(self.terms))
+            return self
         target = args[0].dim
         for a in args:
             if a.dim != target:
                 raise DimensionMismatchError("substitution polynomials disagree on dimension")
-        # cache powers of each substituted polynomial
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(target, 1), 1: a} for a in args
-        ]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            if e not in cache:
-                half = power(i, e // 2)
-                sq = half * half
-                cache[e] = sq if e % 2 == 0 else sq * cache[1]
-            return cache[e]
-
-        acc = Polynomial.zero(target)
+        # powers[i][e] is args[i]**e, for every e up to the top exponent of x_i
+        one = Polynomial.constant(target, 1)
+        powers = []
+        for i, a in enumerate(args):
+            table = [one, a]
+            for _ in range(max((exp[i] for exp in self.terms), default=1) - 1):
+                table.append(table[-1] * a)
+            powers.append(table)
+        acc: dict[tuple, Fraction] = {}
+        get = acc.get
         for exp, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for i, e in enumerate(exp):
+            term = one
+            for table, e in zip(powers, exp):
                 if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+                    term = table[e] if term is one else term * table[e]
+            for e, v in term.terms.items():
+                acc[e] = get(e, 0) + c * v
+        return Polynomial._raw(target, {e: c for e, c in acc.items() if c})
+
+    def map_monomials(self, dim: int, fn) -> Polynomial:
+        """The polynomial sum of c * w * x^e' over the terms c * x^e of self,
+        where ``fn(e)`` returns the pair (e', w): a length-``dim`` exponent
+        tuple and a rational weight.  Terms of weight 0 are dropped."""
+        acc: dict[tuple, Fraction] = {}
+        get = acc.get
+        for exp, c in self.terms.items():
+            new, w = fn(exp)
+            if w:
+                acc[new] = get(new, 0) + c * w
+        return Polynomial._raw(dim, {e: c for e, c in acc.items() if c})
 
     def homogeneous_parts(self) -> dict[int, Polynomial]:
         """Split into homogeneous pieces, keyed by total degree."""
         buckets: dict[int, dict[tuple, Fraction]] = {}
         for exp, c in self.terms.items():
             buckets.setdefault(sum(exp), {})[exp] = c
-        return {s: Polynomial(self.dim, t) for s, t in sorted(buckets.items())}
+        return {s: Polynomial._raw(self.dim, t) for s, t in sorted(buckets.items())}
 
     # -- comparisons / display --------------------------------------------
 

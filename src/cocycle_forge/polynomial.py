@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial in n variables is stored as a map from exponent vectors
-(length-n tuples of non-negative ints) to nonzero ``Fraction``
-coefficients.  Everything downstream -- forms, pullbacks, integrals,
+(length-n tuples of non-negative ints) to nonzero integer numerators,
+over one common denominator.  Ring operations are integer arithmetic
+plus one gcd per result.  Everything downstream -- forms, pullbacks, integrals,
 cocycle values -- reduces to arithmetic in this ring, so no floating
 point ever enters the package.
 
@@ -13,7 +14,9 @@ Also hosts the little exact linear algebra the rest of the code needs
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -29,14 +32,18 @@ def as_fraction(value) -> Fraction:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples to nonzero coefficients; the zero
-    polynomial has an empty map.  Instances hash on their term data, so
-    they can key memo tables.
+    The coefficients are integer numerators over one common denominator,
+    the layout of FLINT's ``fmpq_poly``: ``num`` maps exponent tuples to
+    nonzero ints and ``den`` is a positive int, kept reduced so that
+    gcd(den, every numerator) = 1.  Equal polynomials therefore have
+    equal ``num`` and ``den``, and instances hash on them, so they can
+    key memo tables.  ``terms`` is a read-only view of the coefficients
+    as Fractions; the zero polynomial has no terms.
     """
 
-    __slots__ = ("dim", "terms", "_hash")
+    __slots__ = ("dim", "num", "den", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[tuple, object] | None = None):
         if dim < 0:
@@ -52,17 +59,30 @@ class Polynomial:
                 c = as_fraction(coeff)
                 if c:
                     clean[exp] = c
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is already reduced
+        den = lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(
+            self, "num", {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        )
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, dim: int, terms: dict) -> Polynomial:
-        """Trusted constructor for ring-op results: ``terms`` already maps
-        length-``dim`` exponent tuples to nonzero Fractions and is not copied."""
+    def _raw(cls, dim: int, num: dict, den: int = 1) -> Polynomial:
+        """Trusted constructor for ring-op results: ``num`` already maps
+        length-``dim`` exponent tuples to nonzero ints over the positive
+        ``den`` and is not copied.  Their common factor is divided out."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "num", num)
+        object.__setattr__(poly, "den", den)
         object.__setattr__(poly, "_hash", None)
         return poly
 
@@ -77,8 +97,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value) -> Polynomial:
-        c = as_fraction(value)
-        return cls._raw(dim, {(0,) * dim: c} if c else {})
+        c = value if isinstance(value, int) else as_fraction(value)
+        return cls._raw(dim, {(0,) * dim: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> Polynomial:
@@ -87,19 +107,25 @@ class Polynomial:
             raise ValueError(f"axis {axis} out of range for dimension {dim}")
         exp = [0] * dim
         exp[axis] = 1
-        return cls._raw(dim, {tuple(exp): Fraction(1)})
+        return cls._raw(dim, {tuple(exp): 1})
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """The nonzero coefficients as Fractions, keyed by exponent tuple."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.num), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+        return Fraction(self.num.get((0,) * self.dim, 0), self.den)
 
     def sorted_terms(self):
         """Terms in a canonical order (ascending exponent tuples)."""
@@ -117,19 +143,25 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self + Polynomial.constant(self.dim, other)
         self._require_same_dim(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, 0) + c
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num, scale = dict(self.num), 1
+        else:
+            g = gcd(d1, d2)
+            scale = d1 // g
+            num = {e: c * (d2 // g) for e, c in self.num.items()}
+        for exp, c in other.num.items():
+            s = num.get(exp, 0) + c * scale
             if s:
-                terms[exp] = s
+                num[exp] = s
             else:
-                del terms[exp]
-        return Polynomial._raw(self.dim, terms)
+                del num[exp]
+        return Polynomial._raw(self.dim, num, d2 * scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.dim, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -144,15 +176,20 @@ class Polynomial:
             c = as_fraction(other)
             if not c:
                 return Polynomial.zero(self.dim)
-            return Polynomial._raw(self.dim, {e: c * v for e, v in self.terms.items()})
+            n = c.numerator
+            return Polynomial._raw(
+                self.dim, {e: v * n for e, v in self.num.items()}, self.den * c.denominator
+            )
         self._require_same_dim(other)
-        acc: dict[tuple, Fraction] = {}
+        acc: dict[tuple, int] = {}
         get = acc.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 exp = tuple(map(add, e1, e2))
                 acc[exp] = get(exp, 0) + c1 * c2
-        return Polynomial._raw(self.dim, {e: c for e, c in acc.items() if c})
+        return Polynomial._raw(
+            self.dim, {e: c for e, c in acc.items() if c}, self.den * other.den
+        )
 
     __rmul__ = __mul__
 
@@ -173,15 +210,15 @@ class Polynomial:
 
     def partial(self, axis: int) -> Polynomial:
         """Partial derivative with respect to x_axis."""
-        acc: dict[tuple, Fraction] = {}
-        for exp, c in self.terms.items():
+        acc: dict[tuple, int] = {}
+        for exp, c in self.num.items():
             e = exp[axis]
             if e == 0:
                 continue
             new = list(exp)
             new[axis] = e - 1
             acc[tuple(new)] = c * e
-        return Polynomial._raw(self.dim, acc)
+        return Polynomial._raw(self.dim, acc, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.dim:
@@ -189,14 +226,19 @@ class Polynomial:
                 f"point has length {len(point)}, expected {self.dim}"
             )
         pt = [as_fraction(v) for v in point]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for base, e in zip(pt, exp):
+        # with x_i = a_i / b, a monomial of total degree s is an integer
+        # over b^s; scale every term to the denominator b^top
+        b = lcm(*(v.denominator for v in pt))
+        ints = [v.numerator * (b // v.denominator) for v in pt]
+        top = self.degree()
+        total = 0
+        for exp, c in self.num.items():
+            v = c * b ** (top - sum(exp))
+            for base, e in zip(ints, exp):
                 if e:
                     v *= base**e
             total += v
-        return total
+        return Fraction(total, self.den * b**top)
 
     def compose(self, args: Sequence[Polynomial]) -> Polynomial:
         """Substitute args[i] for x_i; args live in a common target ring."""
@@ -215,38 +257,49 @@ class Polynomial:
         powers = []
         for i, a in enumerate(args):
             table = [one, a]
-            for _ in range(max((exp[i] for exp in self.terms), default=1) - 1):
+            for _ in range(max((exp[i] for exp in self.num), default=1) - 1):
                 table.append(table[-1] * a)
             powers.append(table)
-        acc: dict[tuple, Fraction] = {}
-        get = acc.get
-        for exp, c in self.terms.items():
+        # sum of c * x^e over the common denominator den, raised as terms need
+        acc: dict[tuple, int] = {}
+        den = 1
+        for exp, c in self.num.items():
             term = one
             for table, e in zip(powers, exp):
                 if e:
                     term = table[e] if term is one else term * table[e]
-            for e, v in term.terms.items():
+            if den % term.den:
+                scale = term.den // gcd(den, term.den)
+                acc = {e: v * scale for e, v in acc.items()}
+                den *= scale
+            c *= den // term.den
+            get = acc.get
+            for e, v in term.num.items():
                 acc[e] = get(e, 0) + c * v
-        return Polynomial._raw(target, {e: c for e, c in acc.items() if c})
+        return Polynomial._raw(target, {e: v for e, v in acc.items() if v}, den * self.den)
 
     def map_monomials(self, dim: int, fn) -> Polynomial:
         """The polynomial sum of c * w * x^e' over the terms c * x^e of self,
         where ``fn(e)`` returns the pair (e', w): a length-``dim`` exponent
         tuple and a rational weight.  Terms of weight 0 are dropped."""
-        acc: dict[tuple, Fraction] = {}
-        get = acc.get
-        for exp, c in self.terms.items():
+        weighted = []
+        for exp, c in self.num.items():
             new, w = fn(exp)
             if w:
-                acc[new] = get(new, 0) + c * w
-        return Polynomial._raw(dim, {e: c for e, c in acc.items() if c})
+                weighted.append((new, c * w.numerator, w.denominator))
+        den = lcm(*(d for _, _, d in weighted))
+        acc: dict[tuple, int] = {}
+        get = acc.get
+        for new, n, d in weighted:
+            acc[new] = get(new, 0) + n * (den // d)
+        return Polynomial._raw(dim, {e: v for e, v in acc.items() if v}, den * self.den)
 
     def homogeneous_parts(self) -> dict[int, Polynomial]:
         """Split into homogeneous pieces, keyed by total degree."""
-        buckets: dict[int, dict[tuple, Fraction]] = {}
-        for exp, c in self.terms.items():
+        buckets: dict[int, dict[tuple, int]] = {}
+        for exp, c in self.num.items():
             buckets.setdefault(sum(exp), {})[exp] = c
-        return {s: Polynomial._raw(self.dim, t) for s, t in sorted(buckets.items())}
+        return {s: Polynomial._raw(self.dim, t, self.den) for s, t in sorted(buckets.items())}
 
     # -- comparisons / display --------------------------------------------
 
@@ -255,12 +308,12 @@ class Polynomial:
             other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.dim, frozenset(self.terms.items())))
+            h = hash((self.dim, self.den, frozenset(self.num.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -269,7 +322,7 @@ class Polynomial:
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
         """Deterministic human-readable rendering, highest degree first."""
-        if not self.terms:
+        if not self.num:
             return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.dim)]

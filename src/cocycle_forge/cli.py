@@ -120,6 +120,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
             config.group.generators,
             config.group.preserved_forms,
             degree_cap=args.degree_cap,
+            _trusted=True,
         )
     return config
 

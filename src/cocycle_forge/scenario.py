@@ -239,7 +239,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     degree_cap = _int_field(verify, "degree_cap", DEFAULT_DEGREE_CAP, 1)
 
     group = GroupPresentation(
-        generators, [f for _, f in named_forms], degree_cap=degree_cap
+        generators, [f for _, f in named_forms], degree_cap=degree_cap, _trusted=True
     )
 
     cycle_data = data.get("cycle")
@@ -283,6 +283,11 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 # -- tuple expressions ------------------------------------------------------
 
+# Largest |k| accepted in g^k.  A power's label names each of its k
+# factors, and its coefficients grow with k even where its degree stays
+# put, as for a shear, which the degree cap never refuses.
+MAX_EXPONENT = 1000
+
 _ATOM = re.compile(r"^(T\(([^()]*)\)|[A-Za-z_][A-Za-z0-9_-]*)(\^(-?\d+))?$")
 
 
@@ -310,16 +315,29 @@ def _parse_factor(text: str, config: ScenarioConfig) -> PolyDiffeo:
             ) from None
     if power is None:
         return base
-    k = int(power)
+    try:
+        k = int(power)
+    except ValueError:  # too many digits for int()
+        k = None
+    if k is None or abs(k) > MAX_EXPONENT:
+        raise ScenarioError(
+            f"exponent in {text!r} is out of range: |k| may be at most {MAX_EXPONENT}"
+        )
     if k == 0:
         return PolyDiffeo.identity(config.dimension)
     if k < 0:
         base = base.inverted()
         k = -k
-    out = base
-    for _ in range(k - 1):
-        out = out.compose(base, degree_cap=config.degree_cap)
-    return out
+    # repeated squaring: base^k is the product of base^(2^i) over the set
+    # bits i of k, with the label "base*base*...*base" of k factors
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out.compose(base, degree_cap=config.degree_cap)
+        k >>= 1
+        if not k:
+            return out
+        base = base.compose(base, degree_cap=config.degree_cap)
 
 
 def parse_group_element(expr: str, config: ScenarioConfig) -> PolyDiffeo:

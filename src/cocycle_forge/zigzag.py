@@ -109,7 +109,8 @@ class ZigzagState:
 def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> ZigzagState:
     """Run the descent to depth p and return the assembled state.
 
-    Requires a nonzero closed form that every generator preserves.  On
+    Requires a nonzero closed form that every generator preserves; the
+    check is skipped when the group was built to preserve it.  On
     R^n only p = m-1 pairs with a cycle of dimension 0 and produces a
     nonvanishing real cocycle; other depths are allowed for
     experimentation but warn.
@@ -120,11 +121,12 @@ def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> Zig
         raise DimensionMismatchError("form and group live on different spaces")
     if not ext_d(omega).is_zero():
         raise NotClosedError("the input form is not closed")
-    for g in group.generators:
-        if not g.preserves(omega):
-            raise InvarianceError(
-                f"generator {g.label or repr(g)} does not preserve the input form"
-            )
+    if omega not in group.preserved_forms:
+        for g in group.generators:
+            if not g.preserves(omega):
+                raise InvarianceError(
+                    f"generator {g.label or repr(g)} does not preserve the input form"
+                )
     m = omega.degree
     if p < 0 or p > m - 1:
         raise ValueError(

@@ -157,6 +157,22 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "DegreeCapExceededError"
 
+    def test_huge_power_is_config_error_in_bounded_time(self):
+        # sigma^k stays at degree 2, so no degree cap ever refuses it
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "cocycle_forge", "eval-cocycle",
+                "--scenario", R2, "--tuple", "sigma^99999999999999999999", "T2",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["error"]["type"] == "ScenarioError"
+        assert "out of range" in report["error"]["message"]
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         # force a failing record through the real report path
         def fake_suite(dim, samples, seed):

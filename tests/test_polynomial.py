@@ -1,5 +1,6 @@
 """Exact sparse polynomial arithmetic."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,179 @@ def test_to_str_stable():
     p = x * y * Fraction(-1, 2) + y**2
     assert p.to_str() == (x * y * Fraction(-1, 2) + y**2).to_str()
     assert "x1" in p.to_str() or "x" in p.to_str()
+
+
+# -- a dict-of-Fraction reference ------------------------------------------
+#
+# Each function below works on plain {exponent tuple: Fraction} dicts, the
+# way the ring is defined on paper, and shares no code with Polynomial.
+
+
+def _clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return _clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def ref_power(a, k, dim):
+    out = {(0,) * dim: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_compose(a, args, target):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * target: c}
+        for arg, k in zip(args, e):
+            term = ref_mul(term, ref_power(arg, k, target))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_partial(a, axis):
+    out = {}
+    for e, c in a.items():
+        if e[axis]:
+            new = list(e)
+            new[axis] -= 1
+            out[tuple(new)] = c * e[axis]
+    return out
+
+
+def ref_evaluate(a, pt):
+    total = Fraction(0)
+    for e, c in a.items():
+        v = c
+        for x, k in zip(pt, e):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+def ref_homogeneous_parts(a):
+    parts = {}
+    for e, c in a.items():
+        parts.setdefault(sum(e), {})[e] = c
+    return parts
+
+
+def terms_strategy(dim, max_degree=3, max_terms=4):
+    exps = st.tuples(*[st.integers(0, max_degree) for _ in range(dim)])
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.dictionaries(exps, coeff, max_size=max_terms).map(_clean)
+
+
+class TestAgainstFractionReference:
+    """Every ring operation agrees with the dict-of-Fraction reference."""
+
+    @given(terms_strategy(2), terms_strategy(2))
+    @settings(max_examples=80, deadline=None)
+    def test_add_sub_mul(self, a, b):
+        p, q = Polynomial(2, a), Polynomial(2, b)
+        assert dict((p + q).terms) == ref_add(a, b)
+        assert dict((p - q).terms) == ref_add(a, b, -1)
+        assert dict((p * q).terms) == ref_mul(a, b)
+
+    @given(terms_strategy(2), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_ops(self, a, c):
+        p = Polynomial(2, a)
+        const = {(0, 0): c} if c else {}
+        assert dict((p * c).terms) == ref_mul(a, const)
+        assert dict((p + c).terms) == ref_add(a, const)
+        assert dict((c - p).terms) == ref_add(const, a, -1)
+
+    @given(
+        terms_strategy(2, 3, 3),
+        terms_strategy(3, 2, 3),
+        terms_strategy(3, 2, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_compose(self, a, f, g):
+        args = [Polynomial(3, f), Polynomial(3, g)]
+        assert dict(Polynomial(2, a).compose(args).terms) == ref_compose(a, [f, g], 3)
+
+    @given(terms_strategy(3), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_partial(self, a, axis):
+        assert dict(Polynomial(3, a).partial(axis).terms) == ref_partial(a, axis)
+
+    @given(terms_strategy(2), point_strategy(2))
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate(self, a, pt):
+        assert Polynomial(2, a).evaluate(pt) == ref_evaluate(a, pt)
+
+    @given(terms_strategy(3))
+    @settings(max_examples=60, deadline=None)
+    def test_homogeneous_parts(self, a):
+        parts = Polynomial(3, a).homogeneous_parts()
+        assert {s: dict(p.terms) for s, p in parts.items()} == ref_homogeneous_parts(a)
+
+
+class TestOneValueOneRepresentation:
+    """Equal values are == and hash alike, whatever route built them."""
+
+    @given(terms_strategy(2))
+    @settings(max_examples=60, deadline=None)
+    def test_scale_and_unscale(self, a):
+        p = Polynomial(2, a)
+        q = p * 2 * Fraction(1, 2)
+        assert q == p and hash(q) == hash(p)
+        r = p * Fraction(3, 7) * Fraction(7, 3)
+        assert r == p and hash(r) == hash(p)
+
+    def test_routes_to_one_half_x(self):
+        x = Polynomial.variable(1, 0)
+        routes = [
+            Polynomial(1, {(1,): Fraction(1, 2)}),
+            Polynomial(1, {(1,): "2/4"}),
+            x * Fraction(1, 2),
+            (x * 3 + x) * Fraction(1, 8),
+            (x * x * Fraction(1, 4)).partial(0),
+            Polynomial(1, {(2,): Fraction(1, 2), (1,): Fraction(1, 2)}) - x * x * Fraction(1, 2),
+            Polynomial(1, {(1,): Fraction(1, 4)}).compose([x * 2]),
+        ]
+        for p in routes:
+            assert p == routes[0] and hash(p) == hash(routes[0])
+        assert len(set(routes)) == 1
+
+    def test_cancellation_to_zero(self):
+        p = Polynomial(2, {(1, 0): Fraction(1, 3), (0, 2): Fraction(-5, 6)})
+        z = p - p
+        assert z == Polynomial.zero(2) and hash(z) == hash(Polynomial.zero(2))
+        assert z == 0
+
+    def test_constant_compares_with_numbers(self):
+        assert Polynomial.constant(2, Fraction(6, 4)) == Fraction(3, 2)
+        assert Polynomial.constant(2, 4) * Fraction(1, 4) == 1
+
+
+def test_compose_leaves_no_reference_cycle():
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x * x * y + x + 3) * (y * y + x * Fraction(1, 3))
+    args = [x + y * y * Fraction(2, 5), y * 2 + 1]
+    gc.collect()
+    gc.disable()
+    try:
+        result = p.compose(args)
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -89,6 +89,22 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown scenario keys"):
             load_scenario(write_scenario(tmp_path, data))
 
+    def test_invariance_checked_once_per_pair(self, monkeypatch):
+        from cocycle_forge.diffeo import PolyDiffeo
+
+        calls = []
+        preserves = PolyDiffeo.preserves
+
+        def counting(g, alpha):
+            calls.append((g.label, alpha))
+            return preserves(g, alpha)
+
+        monkeypatch.setattr(PolyDiffeo, "preserves", counting)
+        config = load_scenario(str(SCENARIO_DIR / "r2_area.json"))
+        config.build_state()
+        pairs = [(g.label, f) for g in config.group.generators for f in config.forms]
+        assert sorted(calls, key=repr) == sorted(pairs, key=repr)
+
     def test_non_invariant_generator_named(self, tmp_path):
         data = minimal_scenario()
         data["group"]["generators"].append(
@@ -235,3 +251,27 @@ class TestTupleExpressions:
     def test_translation_arity(self, config):
         with pytest.raises(ScenarioError, match="coordinates"):
             parse_group_element("T(1)", config)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 8, -1, -4, -7])
+    def test_power_equals_repeated_product(self, config, k):
+        base = config.group.generator("sigma")
+        if k < 0:
+            base = base.inverted()
+        product = base
+        for _ in range(abs(k) - 1):
+            product = product.compose(base)
+        g = parse_group_element(f"sigma^{k}", config)
+        assert g == product
+        assert g.inverse == product.inverse
+        assert g.label == product.label
+
+    def test_exponent_bound(self, config):
+        from cocycle_forge.scenario import MAX_EXPONENT
+
+        assert parse_group_element(f"sigma^{MAX_EXPONENT}", config).apply((0, 1)) == (
+            MAX_EXPONENT,
+            1,
+        )
+        for k in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 10**20, "9" * 5000):
+            with pytest.raises(ScenarioError, match="out of range"):
+                parse_group_element(f"sigma^{k}", config)

@@ -103,11 +103,7 @@ class Chain:
                     raise DimensionMismatchError("mixed ambient dimensions in one chain")
                 c = as_fraction(coeff)
                 if c:
-                    total = clean.get(simplex, Fraction(0)) + c
-                    if total:
-                        clean[simplex] = total
-                    else:
-                        clean.pop(simplex, None)
+                    clean[simplex] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", clean)
@@ -150,11 +146,7 @@ class Chain:
         self._require_compatible(other)
         terms = dict(self.terms)
         for s, c in other.terms.items():
-            total = terms.get(s, Fraction(0)) + c
-            if total:
-                terms[s] = total
-            else:
-                terms.pop(s, None)
+            terms[s] = terms.get(s, 0) + c
         return Chain(self.dim, self.ambient, terms)
 
     def __neg__(self) -> Chain:
@@ -202,12 +194,7 @@ def boundary(chain: Chain) -> Chain:
     for simplex, coeff in chain.terms.items():
         for i in range(simplex.dim + 1):
             face = simplex.face(i)
-            add = coeff if i % 2 == 0 else -coeff
-            total = terms.get(face, Fraction(0)) + add
-            if total:
-                terms[face] = total
-            else:
-                terms.pop(face, None)
+            terms[face] = terms.get(face, 0) + (coeff if i % 2 == 0 else -coeff)
     return Chain(chain.dim - 1, chain.ambient, terms)
 
 
@@ -258,7 +245,7 @@ def _simplex_integral(form: PolyForm, simplex: AffineSimplex, translated: bool) 
         substitution.append(coord)
     total = Polynomial.zero(n)
     for idx, poly in form.components.items():
-        jac = det([[edge[a] for a in idx] for edge in edges]) if q else 1
+        jac = det([[edge[a] for a in idx] for edge in edges])
         if not jac:
             continue
         pulled = poly.compose(substitution)
@@ -287,7 +274,7 @@ def integrate(form: PolyForm, chain: Chain) -> Fraction:
     _check_match(form, chain)
     total = Fraction(0)
     for simplex, coeff in chain.terms.items():
-        total += coeff * _simplex_integral(form, simplex, False).constant_term()
+        total += coeff * _simplex_integral(form, simplex, translated=False).constant_term()
     return total
 
 
@@ -301,7 +288,7 @@ def integrate_translated(form: PolyForm, chain: Chain) -> Polynomial:
     _check_match(form, chain)
     total = Polynomial.zero(chain.ambient)
     for simplex, coeff in chain.terms.items():
-        total = total + _simplex_integral(form, simplex, True) * coeff
+        total = total + _simplex_integral(form, simplex, translated=True) * coeff
     return total
 
 

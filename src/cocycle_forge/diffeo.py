@@ -14,7 +14,6 @@ composition is guarded by a degree cap that raises
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Sequence
 
@@ -230,8 +229,7 @@ class GroupPresentation:
     Construction checks each generator against every supplied form and
     raises ``InvarianceError`` naming the first offending pair, so a
     presentation object always encodes a genuine subgroup of the
-    invariance group of those forms.  ``_trusted`` skips that check for
-    callers that have already made it.
+    invariance group of those forms.
     """
 
     __slots__ = ("dim", "generators", "preserved_forms", "degree_cap")
@@ -329,20 +327,3 @@ class GroupPresentation:
             except DegreeCapExceededError:
                 continue
         return out
-
-    def enumerate_words(self, max_length: int) -> list[PolyDiffeo]:
-        """All words of length <= max_length in generators and inverses.
-
-        Exponential in ``max_length``; fine for the short sweeps used by
-        the relation checks, and not intended for anything larger.
-        """
-        alphabet = [i for i in range(1, len(self.generators) + 1)]
-        alphabet += [-i for i in alphabet]
-        seen: list[PolyDiffeo] = [PolyDiffeo.identity(self.dim)]
-        for length in range(1, max_length + 1):
-            for letters in itertools.product(alphabet, repeat=length):
-                try:
-                    seen.append(self.word(letters))
-                except DegreeCapExceededError:
-                    continue
-        return seen

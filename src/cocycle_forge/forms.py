@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .polynomial import Polynomial, as_fraction, as_point, det
+from .polynomial import Polynomial, as_point, det
 
 Index = tuple[int, ...]  # strictly increasing 0-based axes
 
@@ -177,12 +177,10 @@ class PolyForm:
 
     def __mul__(self, scalar) -> PolyForm:
         """Multiply by a rational or polynomial scalar function."""
-        if isinstance(scalar, Polynomial):
-            factor = scalar
-        else:
-            factor = Polynomial.constant(self.dim, as_fraction(scalar))
+        if not isinstance(scalar, Polynomial):
+            scalar = Polynomial.constant(self.dim, scalar)
         return PolyForm._raw(
-            self.dim, self.degree, {i: p * factor for i, p in self.components.items()}
+            self.dim, self.degree, {i: p * scalar for i, p in self.components.items()}
         )
 
     __rmul__ = __mul__
@@ -388,11 +386,12 @@ def poincare_h(alpha: PolyForm) -> PolyForm:
     comps: dict[Index, Polynomial] = {}
     for idx, poly in alpha.components.items():
         for j, axis in enumerate(idx):
+            sign = -1 if j % 2 else 1
 
-            def contract(exp, _axis=axis, _sign=-1 if j % 2 else 1):
+            def contract(exp):
                 new_exp = list(exp)
-                new_exp[_axis] += 1
-                return tuple(new_exp), Fraction(_sign, k + sum(exp))
+                new_exp[axis] += 1
+                return tuple(new_exp), Fraction(sign, k + sum(exp))
 
             _accumulate(comps, idx[:j] + idx[j + 1 :], poly.map_monomials(n, contract))
     return PolyForm._raw(n, k - 1, comps)

@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial in n variables is stored as a map from exponent vectors
-(length-n tuples of non-negative ints) to nonzero integer numerators,
-over one common denominator.  Ring operations are integer arithmetic
-plus one gcd per result.  Everything downstream -- forms, pullbacks, integrals,
-cocycle values -- reduces to arithmetic in this ring, so no floating
-point ever enters the package.
+(length-n tuples of non-negative ints) to nonzero integer numerators
+over one common denominator, so ring operations are integer arithmetic
+plus one gcd per result.  Everything downstream -- forms, pullbacks,
+integrals, cocycle values -- reduces to arithmetic in this ring, so no
+floating point ever enters the package.
 
 Also hosts the little exact linear algebra the rest of the code needs
 (determinants and matrix inverses over the rationals).
@@ -14,7 +14,7 @@ Also hosts the little exact linear algebra the rest of the code needs
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -114,8 +114,7 @@ class Polynomial:
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
         """The nonzero coefficients as Fractions, keyed by exponent tuple."""
-        den = self.den
-        return MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
+        return MappingProxyType({e: Fraction(c, self.den) for e, c in self.num.items()})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -226,19 +225,14 @@ class Polynomial:
                 f"point has length {len(point)}, expected {self.dim}"
             )
         pt = [as_fraction(v) for v in point]
-        # with x_i = a_i / b, a monomial of total degree s is an integer
-        # over b^s; scale every term to the denominator b^top
-        b = lcm(*(v.denominator for v in pt))
-        ints = [v.numerator * (b // v.denominator) for v in pt]
-        top = self.degree()
         total = 0
         for exp, c in self.num.items():
-            v = c * b ** (top - sum(exp))
-            for base, e in zip(ints, exp):
+            v = c
+            for base, e in zip(pt, exp):
                 if e:
                     v *= base**e
             total += v
-        return Fraction(total, self.den * b**top)
+        return Fraction(total, self.den)
 
     def compose(self, args: Sequence[Polynomial]) -> Polynomial:
         """Substitute args[i] for x_i; args live in a common target ring."""
@@ -260,20 +254,17 @@ class Polynomial:
             for _ in range(max((exp[i] for exp in self.num), default=1) - 1):
                 table.append(table[-1] * a)
             powers.append(table)
-        # sum of c * x^e over the common denominator den, raised as terms need
+        # args[i]**e has denominator args[i].den**e (Gauss's lemma), so den
+        # is a multiple of every term's denominator
+        den = prod(table[-1].den for table in powers)
         acc: dict[tuple, int] = {}
-        den = 1
+        get = acc.get
         for exp, c in self.num.items():
             term = one
             for table, e in zip(powers, exp):
                 if e:
                     term = table[e] if term is one else term * table[e]
-            if den % term.den:
-                scale = term.den // gcd(den, term.den)
-                acc = {e: v * scale for e, v in acc.items()}
-                den *= scale
             c *= den // term.den
-            get = acc.get
             for e, v in term.num.items():
                 acc[e] = get(e, 0) + c * v
         return Polynomial._raw(target, {e: v for e, v in acc.items() if v}, den * self.den)

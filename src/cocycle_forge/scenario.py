@@ -283,9 +283,8 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 # -- tuple expressions ------------------------------------------------------
 
-# Largest |k| accepted in g^k.  A power's label names each of its k
-# factors, and its coefficients grow with k even where its degree stays
-# put, as for a shear, which the degree cap never refuses.
+# Largest |k| in g^k: the label names all k factors, and coefficients grow
+# with k even where the degree cap never fires, as for a shear.
 MAX_EXPONENT = 1000
 
 _ATOM = re.compile(r"^(T\(([^()]*)\)|[A-Za-z_][A-Za-z0-9_-]*)(\^(-?\d+))?$")

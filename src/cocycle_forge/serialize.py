@@ -64,13 +64,8 @@ def polynomial_from_json(data, dim: int) -> Polynomial:
             raise ScenarioError(
                 f"exponent vector {exps!r} must be {dim} non-negative integers"
             )
-        coeff = parse_fraction(entry["coeff"])
         key = tuple(exps)
-        total = terms.get(key, Fraction(0)) + coeff
-        if total:
-            terms[key] = total
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + parse_fraction(entry["coeff"])
     return Polynomial(dim, terms)
 
 
@@ -209,12 +204,7 @@ def chain_from_json(data, ambient: int | None = None) -> Chain:
             )
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        coeff = parse_fraction(entry["coeff"])
-        total = terms.get(simplex, Fraction(0)) + coeff
-        if total:
-            terms[simplex] = total
-        else:
-            terms.pop(simplex, None)
+        terms[simplex] = terms.get(simplex, 0) + parse_fraction(entry["coeff"])
     return Chain(dim, ambient, terms)
 
 

@@ -188,14 +188,6 @@ class TestGroupPresentation:
         for g in group.sample_words(20, 3, 7):
             assert g.degree() <= DEFAULT_DEGREE_CAP
 
-    def test_enumerate_words_counts(self):
-        gens = [PolyDiffeo.translation([1], "T")]
-        group = GroupPresentation(gens)
-        words = group.enumerate_words(2)
-        # all words, duplicates included: id; T, T^-1; the four length-2 words
-        points = sorted(w.apply((0,))[0] for w in words)
-        assert points == [-2, -1, 0, 0, 0, 1, 2]
-
     def test_degree_cap_field(self):
         group = GroupPresentation([area_shear()], degree_cap=16)
         assert group.degree_cap == 16

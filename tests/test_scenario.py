@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from cocycle_forge.diffeo import PolyDiffeo
 from cocycle_forge.errors import InvarianceError, ScenarioError
 from cocycle_forge.scenario import (
+    MAX_EXPONENT,
     load_scenario,
     parse_generator_spec,
     parse_group_element,
@@ -90,8 +92,6 @@ class TestValidation:
             load_scenario(write_scenario(tmp_path, data))
 
     def test_invariance_checked_once_per_pair(self, monkeypatch):
-        from cocycle_forge.diffeo import PolyDiffeo
-
         calls = []
         preserves = PolyDiffeo.preserves
 
@@ -266,8 +266,6 @@ class TestTupleExpressions:
         assert g.label == product.label
 
     def test_exponent_bound(self, config):
-        from cocycle_forge.scenario import MAX_EXPONENT
-
         assert parse_group_element(f"sigma^{MAX_EXPONENT}", config).apply((0, 1)) == (
             MAX_EXPONENT,
             1,

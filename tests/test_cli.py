@@ -22,11 +22,12 @@ def run_main(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_proc(*argv):
+def run_proc(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "cocycle_forge", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -159,13 +160,8 @@ class TestExitCodes:
 
     def test_huge_power_is_config_error_in_bounded_time(self):
         # sigma^k stays at degree 2, so no degree cap ever refuses it
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "cocycle_forge", "eval-cocycle",
-                "--scenario", R2, "--tuple", "sigma^99999999999999999999", "T2",
-            ],
-            capture_output=True,
-            text=True,
+        proc = run_proc(
+            "eval-cocycle", "--scenario", R2, "--tuple", "sigma^99999999999999999999", "T2",
             timeout=30,
         )
         assert proc.returncode == 2, proc.stderr

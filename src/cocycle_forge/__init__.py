@@ -36,6 +36,7 @@ from .errors import (
     NotACycleError,
     NotClosedError,
     ScenarioError,
+    ValueTooLargeError,
 )
 from .forms import (
     PolyForm,
@@ -57,8 +58,6 @@ from .zigzag import (
     cocycle,
     coboundary_comparison_residual,
     cocycle_eval,
-    trivializing_cochain_b,
-    verify_cocycle_identity,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +81,7 @@ __all__ = [
     "Polynomial",
     "ScenarioConfig",
     "ScenarioError",
+    "ValueTooLargeError",
     "ZigzagState",
     "boundary",
     "build_phi_sequence",
@@ -103,7 +103,5 @@ __all__ = [
     "poincare_h",
     "pullback",
     "pushforward",
-    "trivializing_cochain_b",
-    "verify_cocycle_identity",
     "wedge",
 ]

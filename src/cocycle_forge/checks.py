@@ -52,18 +52,11 @@ from .zigzag import (
     cocycle,
     coboundary_comparison_residual,
     cocycle_eval,
-    verify_cocycle_identity,
 )
 
 
 def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
-
-
-def _result(name: str, samples: int, failures: int, **extra) -> dict:
-    out = {"name": name, "samples": samples, "failures": failures, "pass": failures == 0}
-    out.update(extra)
-    return out
 
 
 def _sweep(name, samples, trial, *, rational=False, **extra) -> dict:
@@ -83,9 +76,11 @@ def _sweep(name, samples, trial, *, rational=False, **extra) -> dict:
         if residual != 0:
             failures += 1
             worst = max(worst, abs(residual))
+    out = {"name": name, "samples": samples, "failures": failures, "pass": failures == 0}
+    out.update(extra)
     if rational:
-        extra["max_abs_residual"] = worst
-    return _result(name, samples, failures, **extra)
+        out["max_abs_residual"] = worst
+    return out
 
 
 def _same_form(left, right) -> bool:
@@ -363,15 +358,15 @@ def cocycle_identity_suite(
             )
         )
 
-    report = verify_cocycle_identity(
-        state, alpha, samples, seed, max_word_length=max_word_length
-    )
+    dc = delta_prime(cocycle(state, alpha), state.group.degree_cap)
+    width = state.p + 2
+    words = state.group.sample_words(samples * width, max_word_length, seed)
     checks.append(
-        _result(
+        _sweep(
             "cocycle_condition",
-            report["samples"],
-            report["violations"],
-            max_abs_residual=report["max_abs_residual"],
+            samples,
+            lambda k: dc(*words[k * width : (k + 1) * width]),
+            rational=True,
         )
     )
     return checks

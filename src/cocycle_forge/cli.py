@@ -115,7 +115,6 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if args.degree_cap is not None:
         if args.degree_cap < 1:
             raise ScenarioError("--degree-cap must be >= 1")
-        config.degree_cap = args.degree_cap
         config.group = GroupPresentation(
             config.group.generators,
             config.group.preserved_forms,
@@ -243,6 +242,7 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_scenario(args.scenario), args)
         report = run_command(args.command, config, args)
+        payload = json_ready(report)
     except CocycleForgeError as exc:
         failure = {
             "command": args.command,
@@ -252,12 +252,12 @@ def main(argv=None) -> int:
         }
         _emit(failure, args)
         return 2
-    _emit(report, args)
+    _emit(payload, args)
     return 0 if report["pass"] else 1
 
 
-def _emit(report: dict, args):
-    payload = json_ready(report)
+def _emit(payload: dict, args):
+    """Print one JSON document; every value in ``payload`` is already plain."""
     if args.pretty:
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:

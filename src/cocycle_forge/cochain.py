@@ -182,16 +182,15 @@ def f_gamma(gamma: Chain, omega: PolyForm, *, check_cycle: bool = True) -> PolyF
     return PolyForm(n, p, comps)
 
 
-def F_gamma(c: Cochain, gamma: Chain, *, check_cycle: bool = True) -> Cochain:
+def F_gamma(c: Cochain, gamma: Chain) -> Cochain:
     """Compose a form-valued cochain with the transgression.
 
     Values become forms on the translation group; the group degree is
     unchanged and the form degree drops by dim(gamma).  Intertwines the
     two differentials on translation tuples: d' on the group side and d
-    under ``f_gamma`` (the latter exactly when gamma is a cycle).
+    under ``f_gamma``.  Gamma must be a cycle.
     """
-    if check_cycle:
-        require_cycle(gamma, "transgression chain")
+    require_cycle(gamma, "transgression chain")
     if c.q < gamma.dim:
         q_out = 0
     else:

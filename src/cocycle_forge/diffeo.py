@@ -303,18 +303,18 @@ class GroupPresentation:
 
         Uses ``random.Random(seed)`` only, so the same arguments always
         return the same group elements in the same order.  Degree-capped
-        draws are retried with a fresh word rather than surfaced.
+        draws are retried with a fresh word rather than surfaced; when
+        the retries run out, the error names the largest bound refused.
         """
         rng = random.Random(seed)
         k = len(self.generators)
         out: list[PolyDiffeo] = []
         attempts = 0
+        refused = 0  # the largest degree bound the cap refused
         while len(out) < count:
             attempts += 1
             if attempts > 50 * count + 100:
-                raise DegreeCapExceededError(
-                    "sample_words", self.degree_cap + 1, self.degree_cap
-                )
+                raise DegreeCapExceededError("sample_words", refused, self.degree_cap)
             length = rng.randint(1, max_length)
             letters = []
             for _ in range(length):
@@ -324,6 +324,6 @@ class GroupPresentation:
                 letters.append(idx)
             try:
                 out.append(self.word(letters))
-            except DegreeCapExceededError:
-                continue
+            except DegreeCapExceededError as exc:
+                refused = max(refused, exc.degree)
         return out

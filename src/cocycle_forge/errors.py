@@ -25,6 +25,14 @@ class DegreeCapExceededError(CocycleForgeError, ValueError):
         )
 
 
+class ValueTooLargeError(CocycleForgeError, ValueError):
+    """An exact value has more decimal digits than Python will print.
+
+    Python caps int-to-str conversion (4,300 digits by default); a report
+    value past that cap is refused by name rather than printed.
+    """
+
+
 class NotClosedError(CocycleForgeError, ValueError):
     """A form that must be closed (d = 0) is not; signals invalid input
     or an internal bug in the staircase."""

@@ -64,7 +64,6 @@ class ScenarioConfig:
         "samples",
         "max_word_length",
         "seed",
-        "degree_cap",
     )
 
     def __init__(
@@ -79,7 +78,6 @@ class ScenarioConfig:
         samples: int,
         max_word_length: int,
         seed: int,
-        degree_cap: int,
     ):
         self.name = name
         self.dimension = dimension
@@ -91,7 +89,10 @@ class ScenarioConfig:
         self.samples = samples
         self.max_word_length = max_word_length
         self.seed = seed
-        self.degree_cap = degree_cap
+
+    @property
+    def degree_cap(self) -> int:
+        return self.group.degree_cap
 
     def descent_form(self) -> PolyForm:
         return self.forms[0]
@@ -252,7 +253,12 @@ def load_scenario(path: str) -> ScenarioConfig:
         set(descent) <= {"p", "homotopy"},
         f"unknown descent keys: {sorted(set(descent) - {'p', 'homotopy'})}",
     )
-    m = named_forms[0][1].degree
+    descent_name, descent_form = named_forms[0]
+    _require(
+        not descent_form.is_zero(),
+        f"form {descent_name!r} drives the descent and must be nonzero",
+    )
+    m = descent_form.degree
     descent_p = _int_field(descent, "p", m - 1, 0)
     _require(
         descent_p <= m - 1,
@@ -277,7 +283,6 @@ def load_scenario(path: str) -> ScenarioConfig:
         samples=samples,
         max_word_length=max_word_length,
         seed=seed,
-        degree_cap=degree_cap,
     )
 
 

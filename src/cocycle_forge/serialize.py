@@ -13,13 +13,20 @@ from fractions import Fraction
 
 from .chains import AffineSimplex, Chain
 from .diffeo import PolyDiffeo
-from .errors import ScenarioError
+from .errors import ScenarioError, ValueTooLargeError
 from .forms import PolyForm
 from .polynomial import Polynomial
 
 
 def fraction_to_str(value) -> str:
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str digit limit
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise ValueTooLargeError(
+            f"a {bits}-bit rational has more digits than Python will print"
+        ) from None
 
 
 def parse_fraction(data) -> Fraction:

@@ -56,15 +56,16 @@ from .polynomial import as_point
 class ZigzagState:
     """The form, the group, and the descent cochains phi_0..phi_p.
 
-    ``phis[i]`` is an i-cochain valued in forms of degree m-i-1; the
-    cached ``delta_prime_phi(i)`` cochains share memo tables across all
-    downstream evaluations.  ``dprimes`` seeds that cache with
-    d'phi_0, d'phi_1, ... already built over these phis.  Direct
-    construction is allowed (the test suite uses it to corrupt a level
-    on purpose); ``build_phi_sequence`` is the checked factory.
+    ``phis[i]`` is an i-cochain valued in forms of degree m-i-1 and
+    ``dprimes[i]`` is d'phi_i, one cochain (and one memo table) per
+    level, shared by every downstream evaluation.  ``dprimes`` may hand
+    in a prefix d'phi_0, d'phi_1, ... already built over these phis;
+    the rest are built here.  Direct construction is allowed (the test
+    suite uses it to corrupt a level on purpose); ``build_phi_sequence``
+    is the checked factory.
     """
 
-    __slots__ = ("omega", "p", "group", "phis", "_dprimes")
+    __slots__ = ("omega", "p", "group", "phis", "dprimes")
 
     def __init__(
         self,
@@ -80,7 +81,9 @@ class ZigzagState:
         self.phis = tuple(phis)
         if len(self.phis) != p + 1:
             raise ValueError(f"descent to depth {p} needs {p + 1} cochains")
-        self._dprimes: dict[int, Cochain] = dict(enumerate(dprimes))
+        self.dprimes = tuple(dprimes) + tuple(
+            delta_prime(phi, group.degree_cap) for phi in self.phis[len(dprimes) :]
+        )
 
     @property
     def m(self) -> int:
@@ -89,19 +92,11 @@ class ZigzagState:
     def phi(self, i: int) -> Cochain:
         return self.phis[i]
 
-    def delta_prime_phi(self, i: int) -> Cochain:
-        """d'phi_i, built once and memoized."""
-        cached = self._dprimes.get(i)
-        if cached is None:
-            cached = delta_prime(self.phis[i], self.group.degree_cap)
-            self._dprimes[i] = cached
-        return cached
-
     def descent_residual(self, i: int, gs: Sequence[PolyDiffeo]) -> PolyForm:
         """(d'phi_{i-1} + d''phi_i)(g_1..g_i); zero on a sound descent."""
         if not 1 <= i <= self.p:
             raise ValueError(f"descent level {i} out of range 1..{self.p}")
-        lhs = self.delta_prime_phi(i - 1)(*gs)
+        lhs = self.dprimes[i - 1](*gs)
         rhs = delta_double_prime(self.phis[i])(*gs)
         return lhs + rhs
 
@@ -199,7 +194,7 @@ def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:
 
 def cocycle(state: ZigzagState, alpha: Chain) -> Cochain:
     """The cocycle as a reusable real-valued (p+1)-cochain."""
-    return _integral(state, alpha, state.delta_prime_phi(state.p))
+    return _integral(state, alpha, state.dprimes[state.p])
 
 
 def closed_form_translation(omega: PolyForm, vectors: Sequence[Sequence]) -> Fraction:
@@ -216,13 +211,6 @@ def closed_form_translation(omega: PolyForm, vectors: Sequence[Sequence]) -> Fra
         raise ValueError(f"a degree-{m} form pairs with {m} vectors, got {len(vecs)}")
     origin = [0] * omega.dim
     return evaluate(omega, origin, vecs) / math.factorial(m)
-
-
-def trivializing_cochain_b(
-    state: ZigzagState, alpha: Chain, gs: Sequence[PolyDiffeo]
-) -> Fraction:
-    """b(g_1,...,g_p) = int_alpha phi_p(g_1,...,g_p)."""
-    return b_cochain(state, alpha)(*gs)
 
 
 def b_cochain(state: ZigzagState, alpha: Chain) -> Cochain:
@@ -256,34 +244,3 @@ def coboundary_comparison_residual(
     db = delta_prime(b_cochain(state, alpha), state.group.degree_cap)(*gs)
     rhs = sign * (moved - b_val) + db
     return lhs - rhs
-
-
-def verify_cocycle_identity(
-    state: ZigzagState,
-    alpha: Chain,
-    samples: int,
-    seed: int,
-    *,
-    max_word_length: int = 3,
-) -> dict:
-    """Evaluate Dc on seeded (p+2)-tuples; report the violations.
-
-    Every residual must be exactly zero; any other outcome is an
-    implementation bug, and the report exists to catch exactly that.
-    """
-    dc = delta_prime(cocycle(state, alpha), state.group.degree_cap)
-    width = state.p + 2
-    words = state.group.sample_words(samples * width, max_word_length, seed)
-    violations = 0
-    max_abs = Fraction(0)
-    for k in range(samples):
-        residual = dc(*words[k * width : (k + 1) * width])
-        if residual != 0:
-            violations += 1
-            if abs(residual) > max_abs:
-                max_abs = abs(residual)
-    return {
-        "samples": samples,
-        "violations": violations,
-        "max_abs_residual": max_abs,
-    }

@@ -192,6 +192,32 @@ class TestExitCodes:
         assert report["error"]["type"] == "ScenarioError"
         assert "descent p" in report["error"]["message"]
 
+    def test_zero_descent_form_is_config_error(self, capsys, tmp_path):
+        data = json.loads(Path(R2).read_text())
+        data["forms"][0]["form"]["components"] = []
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        code, report = run_main(capsys, "build-cocycle", "--scenario", str(path))
+        assert code == 2
+        assert report["error"]["type"] == "ScenarioError"
+        assert repr(data["forms"][0]["name"]) in report["error"]["message"]
+
+    def test_value_too_large_to_print_is_named_error(self, capsys):
+        # the value is 2200-digit times 2200-digit, past the 4300-digit str limit
+        nines = "9" * 2200
+        code, report = run_main(
+            capsys,
+            "eval-cocycle",
+            "--scenario",
+            R2,
+            "--tuple",
+            f"T({nines},0)",
+            f"T(0,{nines})",
+        )
+        assert code == 2
+        assert report["pass"] is False
+        assert report["error"]["type"] == "ValueTooLargeError"
+
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["make-plots", "--scenario", R1])

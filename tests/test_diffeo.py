@@ -188,6 +188,16 @@ class TestGroupPresentation:
         for g in group.sample_words(20, 3, 7):
             assert g.degree() <= DEFAULT_DEGREE_CAP
 
+    def test_sample_words_reports_largest_refused_bound(self):
+        # every word starts identity * quartic, so every refusal has bound 4
+        y4 = Polynomial(2, {(0, 4): Fraction(1)})
+        quartic = PolyDiffeo.shear(2, 0, y4, "q")
+        group = GroupPresentation([quartic], degree_cap=2)
+        with pytest.raises(DegreeCapExceededError) as exc_info:
+            group.sample_words(3, 2, 0)
+        assert exc_info.value.degree == 4
+        assert exc_info.value.cap == 2
+
     def test_degree_cap_field(self):
         group = GroupPresentation([area_shear()], degree_cap=16)
         assert group.degree_cap == 16

@@ -14,6 +14,7 @@ import sympy as sp
 
 import descent_oracle
 from cocycle_forge.chains import Chain
+from cocycle_forge.checks import cocycle_identity_suite
 from cocycle_forge.cochain import Cochain, delta_prime
 from cocycle_forge.diffeo import GroupPresentation, PolyDiffeo
 from cocycle_forge.errors import (
@@ -32,8 +33,6 @@ from cocycle_forge.zigzag import (
     cocycle,
     coboundary_comparison_residual,
     cocycle_eval,
-    trivializing_cochain_b,
-    verify_cocycle_identity,
 )
 
 
@@ -219,11 +218,17 @@ class TestCycleChecks:
             cocycle_eval(area_state, ORIGIN2, [PolyDiffeo.identity(2)])
 
 
+def cocycle_condition(state, samples, seed, max_word_length):
+    """The Dc = 0 entry of the identity suite, over the origin."""
+    checks = cocycle_identity_suite(state, ORIGIN2, samples, seed, max_word_length)
+    return next(c for c in checks if c["name"] == "cocycle_condition")
+
+
 class TestCocycleCondition:
     def test_verifier_reports_clean(self, area_state):
-        report = verify_cocycle_identity(area_state, ORIGIN2, 25, 99, max_word_length=3)
+        report = cocycle_condition(area_state, 25, 99, 3)
         assert report["samples"] == 25
-        assert report["violations"] == 0
+        assert report["failures"] == 0
         assert report["max_abs_residual"] == 0
 
     def test_explicit_coboundary_sum(self, area_state):
@@ -250,8 +255,8 @@ class TestCocycleCondition:
         t1 = area_state.group.generator("T1")
         t2 = area_state.group.generator("T2")
         assert dc(t1, t2, t2) != 0
-        report = verify_cocycle_identity(bad_state, ORIGIN2, 20, 1, max_word_length=2)
-        assert report["violations"] > 0
+        report = cocycle_condition(bad_state, 20, 1, 2)
+        assert report["failures"] > 0
 
     def test_point_cycle_choice_is_free(self, area_state):
         words = area_state.group.sample_words(20, 3, 31)
@@ -279,10 +284,10 @@ class TestTriviality:
 
     def test_b_value_shapes(self, area_state):
         sigma = area_state.group.generator("sigma")
-        value = trivializing_cochain_b(area_state, ORIGIN2, [sigma])
+        value = b_cochain(area_state, ORIGIN2)(sigma)
         assert isinstance(value, Fraction)
         with pytest.raises(ValueError):
-            trivializing_cochain_b(area_state, ORIGIN2, [sigma, sigma])
+            b_cochain(area_state, ORIGIN2)(sigma, sigma)
 
     def test_comparison_identity_residual_zero(self, area_state):
         words = area_state.group.sample_words(20, 3, 41)

@@ -23,7 +23,7 @@ from .errors import (
     InvarianceError,
 )
 from .forms import PolyForm, pullback
-from .polynomial import Polynomial, as_fraction, as_point, invert_matrix
+from .polynomial import Polynomial, as_fraction, as_point, fraction_to_str, invert_matrix
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -46,7 +46,7 @@ class PolyDiffeo:
     ``identity``) compare equal regardless of labels.
     """
 
-    __slots__ = ("dim", "forward", "inverse", "label", "_hash")
+    __slots__ = ("dim", "forward", "inverse", "label", "_degree", "_hash")
 
     def __init__(
         self,
@@ -69,11 +69,12 @@ class PolyDiffeo:
                 raise ValueError(f"forward o inverse is not the identity ({label or 'unlabelled'})")
             if tuple(f.compose(fwd) for f in inv) != ident:
                 raise ValueError(f"inverse o forward is not the identity ({label or 'unlabelled'})")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "forward", fwd)
-        object.__setattr__(self, "inverse", inv)
-        object.__setattr__(self, "label", str(label))
-        object.__setattr__(self, "_hash", None)
+        _set_dim(self, dim)
+        _set_forward(self, fwd)
+        _set_inverse(self, inv)
+        _set_label(self, str(label))
+        _set_degree(self, max(c.degree() for c in fwd + inv))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyDiffeo is immutable")
@@ -98,7 +99,7 @@ class PolyDiffeo:
             for i in range(dim)
         )
         if not label:
-            label = "T(" + ",".join(str(v) for v in vec) + ")"
+            label = "T(" + ",".join(map(fraction_to_str, vec)) + ")"
         return cls(fwd, inv, label, _trusted=True)
 
     @classmethod
@@ -152,10 +153,8 @@ class PolyDiffeo:
     # -- queries -----------------------------------------------------------
 
     def degree(self) -> int:
-        return max(
-            max((c.degree() for c in self.forward), default=0),
-            max((c.degree() for c in self.inverse), default=0),
-        )
+        """The larger of the forward and the inverse map's degrees."""
+        return self._degree
 
     def is_identity(self) -> bool:
         return self.forward == tuple(
@@ -214,13 +213,20 @@ class PolyDiffeo:
         h = self._hash
         if h is None:
             h = hash((self.dim, self.forward))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
         body = ", ".join(c.to_str() for c in self.forward)
         name = f" {self.label!r}" if self.label else ""
         return f"PolyDiffeo{name}[{body}]"
+
+
+# The slot descriptors' setters, bound once: the constructors fill the
+# slots through them because ``__setattr__`` refuses every assignment.
+_set_dim, _set_forward, _set_inverse, _set_label, _set_degree, _set_hash = (
+    PolyDiffeo.__dict__[name].__set__ for name in PolyDiffeo.__slots__
+)
 
 
 class GroupPresentation:

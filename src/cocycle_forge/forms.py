@@ -18,6 +18,7 @@ Sign conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -90,10 +91,10 @@ class PolyForm:
                     )
                 if not poly.is_zero():
                     clean[idx] = poly
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_dim(self, dim)
+        _set_degree(self, degree)
+        _set_components(self, clean)
+        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, dim: int, degree: int, components: Mapping[Index, Polynomial]) -> PolyForm:
@@ -101,12 +102,10 @@ class PolyForm:
         index is valid and every coefficient a dimension-``dim`` polynomial.
         Zero coefficients are dropped."""
         form = object.__new__(cls)
-        object.__setattr__(form, "dim", dim)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(
-            form, "components", {i: p for i, p in components.items() if not p.is_zero()}
-        )
-        object.__setattr__(form, "_hash", None)
+        _set_dim(form, dim)
+        _set_degree(form, degree)
+        _set_components(form, {i: p for i, p in components.items() if not p.is_zero()})
+        _set_hash(form, None)
         return form
 
     def __setattr__(self, name, value):
@@ -198,7 +197,7 @@ class PolyForm:
         h = self._hash
         if h is None:
             h = hash((self.dim, self.degree, frozenset(self.components.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -217,6 +216,13 @@ class PolyForm:
             else:
                 pieces.append(coeff)
         return " + ".join(pieces)
+
+
+# The slot descriptors' setters, bound once: the constructors fill the
+# slots through them because ``__setattr__`` refuses every assignment.
+_set_dim, _set_degree, _set_components, _set_hash = (
+    PolyForm.__dict__[name].__set__ for name in PolyForm.__slots__
+)
 
 
 class PolyVectorField:
@@ -358,17 +364,35 @@ def pullback(map_components: Sequence[Polynomial], alpha: PolyForm) -> PolyForm:
     for c in comps:
         if c.dim != m:
             raise DimensionMismatchError("map components disagree on source dimension")
-    differentials = [
-        PolyForm._raw(m, 1, {(j,): comps[i].partial(j) for j in range(m)})
-        for i in range(alpha.dim)
-    ]
-    result = PolyForm.zero(m, alpha.degree)
+    # the nonzero entries (j, dg_a/dx_j) of row a of the Jacobian, for
+    # each axis a that occurs in alpha
+    rows: dict[int, list[tuple[int, Polynomial]]] = {}
+    for idx in alpha.components:
+        for a in idx:
+            if a not in rows:
+                partials = ((j, comps[a].partial(j)) for j in range(m))
+                rows[a] = [(j, d) for j, d in partials if not d.is_zero()]
+    out: dict[Index, Polynomial] = {}
     for idx, poly in alpha.components.items():
-        piece = PolyForm._raw(m, 0, {(): poly.compose(comps)})
-        for axis in idx:
-            piece = wedge(piece, differentials[axis])
-        result = result + piece
-    return result
+        # expand dg_{i1}^...^dg_{ik} one row at a time over the coefficient
+        # dict of the partial product; None stands for the coefficient 1
+        minors: dict[Index, Polynomial | None] = {(): None}
+        for a in idx:
+            grown: dict[Index, Polynomial] = {}
+            for lead, p in minors.items():
+                for j, d in rows[a]:
+                    if j in lead:
+                        continue
+                    pos = bisect_left(lead, j)
+                    # dx_lead ^ dx_j: dx_j moves left past the axes above it
+                    term = d if p is None else p * d
+                    merged = lead[:pos] + (j,) + lead[pos:]
+                    _accumulate(grown, merged, -term if (len(lead) - pos) % 2 else term)
+            minors = grown
+        f = poly.compose(comps)
+        for lead, p in minors.items():
+            _accumulate(out, lead, f if p is None else f * p)
+    return PolyForm._raw(m, alpha.degree, out)
 
 
 def poincare_h(alpha: PolyForm) -> PolyForm:

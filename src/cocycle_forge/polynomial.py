@@ -14,12 +14,12 @@ Also hosts the little exact linear algebra the rest of the code needs
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ValueTooLargeError
 
 
 def as_fraction(value) -> Fraction:
@@ -29,6 +29,19 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def fraction_to_str(value) -> str:
+    """The "p/q" text of a rational; ``ValueTooLargeError`` where Python's
+    int-to-str digit limit refuses to print it."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str digit limit
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise ValueTooLargeError(
+            f"a {bits}-bit rational has more digits than Python will print"
+        ) from None
 
 
 class Polynomial:
@@ -62,12 +75,10 @@ class Polynomial:
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the result is already reduced
         den = lcm(*(c.denominator for c in clean.values()))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(
-            self, "num", {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        )
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_dim(self, dim)
+        _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+        _set_den(self, den)
+        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, dim: int, num: dict, den: int = 1) -> Polynomial:
@@ -80,10 +91,10 @@ class Polynomial:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
         poly = object.__new__(cls)
-        object.__setattr__(poly, "dim", dim)
-        object.__setattr__(poly, "num", num)
-        object.__setattr__(poly, "den", den)
-        object.__setattr__(poly, "_hash", None)
+        _set_dim(poly, dim)
+        _set_num(poly, num)
+        _set_den(poly, den)
+        _set_hash(poly, None)
         return poly
 
     def __setattr__(self, name, value):
@@ -246,24 +257,30 @@ class Polynomial:
         for a in args:
             if a.dim != target:
                 raise DimensionMismatchError("substitution polynomials disagree on dimension")
-        # powers[i][e] is args[i]**e, for every e up to the top exponent of x_i
-        one = Polynomial.constant(target, 1)
-        powers = []
-        for i, a in enumerate(args):
-            table = [one, a]
-            for _ in range(max((exp[i] for exp in self.num), default=1) - 1):
-                table.append(table[-1] * a)
-            powers.append(table)
+        # powers[i][e] is args[i]**e for 1 <= e <= the top exponent of x_i,
+        # and one transposing pass over the exponent tuples finds every top.
         # args[i]**e has denominator args[i].den**e (Gauss's lemma), so den
-        # is a multiple of every term's denominator
-        den = prod(table[-1].den for table in powers)
+        # is a multiple of every term's denominator.
+        powers = []
+        den = 1
+        for a, top in zip(args, map(max, zip(*self.num))):
+            table, power = [None], None
+            for _ in range(top):
+                power = a if power is None else power * a
+                table.append(power)
+            powers.append(table)
+            den *= a.den**top
+        origin = (0,) * target
         acc: dict[tuple, int] = {}
         get = acc.get
         for exp, c in self.num.items():
-            term = one
+            term = None
             for table, e in zip(powers, exp):
                 if e:
-                    term = table[e] if term is one else term * table[e]
+                    term = table[e] if term is None else term * table[e]
+            if term is None:  # the constant term
+                acc[origin] = get(origin, 0) + c * den
+                continue
             c *= den // term.den
             for e, v in term.num.items():
                 acc[e] = get(e, 0) + c * v
@@ -305,7 +322,7 @@ class Polynomial:
         h = self._hash
         if h is None:
             h = hash((self.dim, self.den, frozenset(self.num.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -335,6 +352,13 @@ class Polynomial:
             pieces.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(pieces)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+# The slot descriptors' setters, bound once: the constructors fill the
+# slots through them because ``__setattr__`` refuses every assignment.
+_set_dim, _set_num, _set_den, _set_hash = (
+    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
+)
 
 
 # -- exact linear algebra ---------------------------------------------------

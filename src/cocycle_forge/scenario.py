@@ -259,6 +259,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         f"form {descent_name!r} drives the descent and must be nonzero",
     )
     m = descent_form.degree
+    _require(m >= 1, f"form {descent_name!r} has degree 0 and cannot drive the descent")
     descent_p = _int_field(descent, "p", m - 1, 0)
     _require(
         descent_p <= m - 1,

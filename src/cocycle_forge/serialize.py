@@ -9,33 +9,45 @@ which is what makes byte-identical reports possible.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .chains import AffineSimplex, Chain
 from .diffeo import PolyDiffeo
-from .errors import ScenarioError, ValueTooLargeError
+from .errors import ScenarioError
 from .forms import PolyForm
-from .polynomial import Polynomial
+from .polynomial import Polynomial, fraction_to_str
 
-
-def fraction_to_str(value) -> str:
-    value = Fraction(value)
-    try:
-        return str(value)
-    except ValueError:  # past the int-to-str digit limit
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        raise ValueTooLargeError(
-            f"a {bits}-bit rational has more digits than Python will print"
-        ) from None
+# the exponent of a literal in exponent notation, digits possibly grouped by "_"
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# CPython's default int-to-str digit limit, for where the limit is off or absent
+_DEFAULT_DIGIT_LIMIT = 4300
 
 
 def parse_fraction(data) -> Fraction:
-    """Accept "p/q" strings or plain integers; reject floats."""
+    """Parse an exact rational from an int or a string; reject floats.
+
+    A string may be anything ``Fraction`` reads: "p/q", an integer, a
+    decimal such as "-0.25" or exponent notation such as "3e-2".  An
+    exponent larger in magnitude than Python's int-to-str digit limit
+    (``sys.get_int_max_str_digits()``, or its default 4,300 where that
+    limit is off or absent) is refused before the value is built, since
+    building 10**exponent takes time without bound.
+    """
     if isinstance(data, bool):
         raise ScenarioError(f"expected a rational, got {data!r}")
     if isinstance(data, int):
         return Fraction(data)
     if isinstance(data, str):
+        exponent = _EXPONENT.search(data)
+        if exponent:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise ScenarioError(
+                    f"bad rational literal {data!r}: exponent magnitude above {limit}"
+                )
         try:
             return Fraction(data)
         except (ValueError, ZeroDivisionError) as exc:

@@ -218,6 +218,25 @@ class TestExitCodes:
         assert report["pass"] is False
         assert report["error"]["type"] == "ValueTooLargeError"
 
+    @pytest.mark.parametrize("literal", ["1e5000", "1e10000000"])
+    def test_huge_exponent_literal_is_config_error_in_bounded_time(self, literal):
+        # Fraction would build 10**exponent first, which takes time without bound
+        proc = run_proc(
+            "eval-cocycle", "--scenario", R2, "--tuple", f"T({literal},0)", "T2", timeout=30
+        )
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["error"]["type"] == "ScenarioError"
+        assert f"{literal!r}: exponent magnitude above" in report["error"]["message"]
+
+    def test_unprintable_translation_label_is_named_error(self, capsys):
+        # 10**4300 has 4301 digits, one past the str limit, so T(...) cannot be named
+        code, report = run_main(
+            capsys, "eval-cocycle", "--scenario", R2, "--tuple", "T(1e4300,0)", "T2"
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ValueTooLargeError"
+
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["make-plots", "--scenario", R1])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from cocycle_forge.errors import (
 from cocycle_forge.forms import PolyForm, ext_d, pullback
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.sampling import random_form
+from cocycle_forge.scenario import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def area_shear():
@@ -63,6 +67,13 @@ class TestConstructors:
         with pytest.raises(ValueError):
             PolyDiffeo([x + 1], [x + 1])  # not mutually inverse
 
+    def test_immutable(self):
+        g = area_shear()
+        with pytest.raises(AttributeError):
+            g.label = "tau"
+        with pytest.raises(AttributeError):
+            g._degree = 1
+
     def test_equality_ignores_label(self):
         a = PolyDiffeo.translation([1, 0], "A")
         b = PolyDiffeo.translation([1, 0], "B")
@@ -100,6 +111,13 @@ class TestComposition:
         err = exc_info.value
         assert err.cap == 2
         assert err.degree == 4
+
+    @pytest.mark.parametrize("name", ["r1_line", "r2_area", "r3_volume", "r4_symplectic"])
+    def test_degree_is_max_over_components(self, name):
+        group = load_scenario(str(SCENARIO_DIR / f"{name}.json")).group
+        for g in group.sample_words(20, 3, seed=17):
+            for h in (g, g.inverted()):
+                assert h.degree() == max(c.degree() for c in h.forward + h.inverse)
 
     def test_default_cap_allows_moderate_words(self):
         sigma = area_shear()

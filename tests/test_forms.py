@@ -21,6 +21,8 @@ from cocycle_forge.forms import (
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.sampling import (
     random_form,
+    random_fraction,
+    random_polynomial,
     random_polynomial_map,
     random_vector_field,
 )
@@ -37,7 +39,56 @@ def small_form(draw, dim=2, max_coeff_degree=2):
     return random_form(random.Random(seed), dim, degree, max_coeff_degree)
 
 
+def reference_pullback(map_components, alpha):
+    """Pullback by its definition: each f dx_I becomes the wedge product
+    (f o g) dg_{i1}^...^dg_{ik} of whole forms, summed over I."""
+    m = map_components[0].dim
+    differentials = [
+        PolyForm(m, 1, {(j,): g.partial(j) for j in range(m)}) for g in map_components
+    ]
+    result = PolyForm.zero(m, alpha.degree)
+    for idx, poly in alpha.components.items():
+        piece = PolyForm.from_polynomial(poly.compose(map_components))
+        for axis in idx:
+            piece = wedge(piece, differentials[axis])
+        result = result + piece
+    return result
+
+
+@st.composite
+def map_and_form(draw):
+    """A form on R^n, n = 2..4, of any degree, and a map R^m -> R^n whose
+    components have zero, constant or polynomial partials."""
+    dim = draw(st.integers(2, 4))
+    source = draw(st.integers(1, dim))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    comps = []
+    for kind in draw(st.lists(st.sampled_from("zcap"), min_size=dim, max_size=dim)):
+        if kind == "z":  # the zero component
+            comps.append(Polynomial.zero(source))
+        elif kind == "c":  # a constant: every partial is zero
+            comps.append(Polynomial.constant(source, random_fraction(rng)))
+        elif kind == "a":  # affine: constant partials
+            comps.append(
+                sum(
+                    (Polynomial.variable(source, j) * random_fraction(rng) for j in range(source)),
+                    Polynomial.constant(source, random_fraction(rng)),
+                )
+            )
+        else:
+            comps.append(random_polynomial(rng, source, 2))
+    degree = draw(st.integers(0, dim))
+    return comps, random_form(rng, dim, degree, 2)
+
+
 class TestPolyForm:
+    def test_immutable(self):
+        w = PolyForm.dx(2, 0)
+        with pytest.raises(AttributeError):
+            w.degree = 2
+        with pytest.raises(AttributeError):
+            w.components = {}
+
     def test_components_normalized(self):
         # reversed index pairs must be rejected; only increasing tuples are keys
         with pytest.raises(ValueError):
@@ -191,6 +242,12 @@ class TestHomotopyOperator:
 
 
 class TestPullback:
+    @given(map_and_form())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_wedge_of_differentials(self, case):
+        comps, w = case
+        assert pullback(comps, w) == reference_pullback(comps, w)
+
     def test_identity_map(self):
         rng = seeded("pb_id")
         w = random_form(rng, 3, 2, 2)

@@ -296,6 +296,26 @@ class TestAgainstFractionReference:
         args = [Polynomial(3, f), Polynomial(3, g)]
         assert dict(Polynomial(2, a).compose(args).terms) == ref_compose(a, [f, g], 3)
 
+    @given(
+        terms_strategy(3, 3, 4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        st.permutations([0, 1, 3]),
+        st.lists(terms_strategy(2, 2, 3), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_compose_constant_term_and_mixed_tops(self, a, c, tops, args):
+        # clip every exponent to the variable's top, reach each top once
+        # and add a constant term, so x1..x3 have top exponents 0, 1 and 3
+        clipped = {}
+        for e, v in a.items():
+            clipped = ref_add(clipped, {tuple(map(min, e, tops)): v})
+        for i, top in enumerate(tops):
+            if top:
+                clipped = ref_add(clipped, {tuple(top if j == i else 0 for j in range(3)): 1})
+        clipped = ref_add(clipped, {(0, 0, 0): c})
+        polys = [Polynomial(2, t) for t in args]
+        assert dict(Polynomial(3, clipped).compose(polys).terms) == ref_compose(clipped, args, 2)
+
     @given(terms_strategy(3), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
     def test_partial(self, a, axis):

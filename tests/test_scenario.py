@@ -165,6 +165,18 @@ class TestValidation:
             load_scenario(write_scenario(tmp_path, data))
 
 
+    def test_zero_form_cannot_drive_descent(self, tmp_path):
+        one = {
+            "dim": 2,
+            "degree": 0,
+            "components": [{"idx": [], "poly": [{"exps": [0, 0], "coeff": "1"}]}],
+        }
+        data = minimal_scenario(forms=[{"name": "one", "form": one}])
+        del data["descent"]
+        with pytest.raises(ScenarioError, match="'one' has degree 0 and cannot drive the descent"):
+            load_scenario(write_scenario(tmp_path, data))
+
+
 class TestGeneratorSpecs:
     def test_shear_axis_is_one_based(self):
         g = parse_generator_spec(

@@ -38,7 +38,16 @@ class TestFractions:
     def test_surrounding_whitespace_tolerated(self):
         assert parse_fraction(" 3/4 ") == Fraction(3, 4)
 
-    @pytest.mark.parametrize("bad", [0.5, True, None, "1/0", "a/b", [1]])
+    def test_decimals_and_exponent_notation(self):
+        assert parse_fraction("-0.25") == Fraction(-1, 4)
+        assert parse_fraction("3e-2") == Fraction(3, 100)
+        assert parse_fraction("2.5E1_0") == 25 * 10**9
+        assert parse_fraction("1e4300") == 10**4300
+
+    # an exponent past 4,300 (the default str digit limit) is refused unbuilt
+    @pytest.mark.parametrize(
+        "bad", [0.5, True, None, "1/0", "a/b", [1], "1e4301", "1E-5_000", "1e" + "9" * 5000]
+    )
     def test_rejections(self, bad):
         with pytest.raises((ScenarioError, TypeError, ValueError)):
             parse_fraction(bad)

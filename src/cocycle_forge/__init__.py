@@ -33,6 +33,7 @@ from .errors import (
     DegreeCapExceededError,
     DimensionMismatchError,
     InvarianceError,
+    NonAffineImageError,
     NotACycleError,
     NotClosedError,
     ScenarioError,
@@ -73,6 +74,7 @@ __all__ = [
     "F_gamma",
     "GroupPresentation",
     "InvarianceError",
+    "NonAffineImageError",
     "NotACycleError",
     "NotClosedError",
     "PolyDiffeo",

@@ -13,6 +13,12 @@ and evaluates monomial integrals with the Dirichlet formula
 so every value is an exact ``Fraction``.  Stokes' theorem then holds on
 the nose, which the test-suite exploits as a consistency oracle.
 
+Each simplex builds its edge vectors and the substitution polynomials of
+its parametrization once, on first use, and keeps them; integrating many
+forms over one chain therefore builds them once per simplex.  The
+Jacobian minors of a form's components come first, and a component whose
+minor vanishes is never composed with the substitution.
+
 0-chains are signed combinations of points and integrate by signed
 evaluation.
 """
@@ -23,15 +29,19 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import DimensionMismatchError, NotACycleError
+from .errors import DimensionMismatchError, NonAffineImageError, NotACycleError
 from .forms import PolyForm
 from .polynomial import Polynomial, as_fraction, as_point, det
 
 
 class AffineSimplex:
-    """An ordered affine q-simplex (q+1 rational vertices in R^n), q <= n."""
+    """An ordered affine q-simplex (q+1 rational vertices in R^n), q <= n.
 
-    __slots__ = ("dim", "ambient", "vertices", "_hash")
+    The edge vectors v_j - v_0 and the substitution polynomials of the
+    parametrization are built on first use and kept with the simplex.
+    """
+
+    __slots__ = ("dim", "ambient", "vertices", "_hash", "_edges", "_substitutions")
 
     def __init__(self, vertices: Sequence[Sequence]):
         verts = [tuple(as_fraction(v) for v in vertex) for vertex in vertices]
@@ -46,10 +56,15 @@ class AffineSimplex:
             raise ValueError(
                 f"a {q}-simplex does not fit in R^{ambient} (needs q <= n)"
             )
-        object.__setattr__(self, "dim", q)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "vertices", tuple(verts))
-        object.__setattr__(self, "_hash", None)
+        self._fill(q, ambient, tuple(verts))
+
+    def _fill(self, q: int, ambient: int, vertices: tuple):
+        _set_dim(self, q)
+        _set_ambient(self, ambient)
+        _set_vertices(self, vertices)
+        _set_hash(self, None)
+        _set_edges(self, None)
+        _set_substitutions(self, {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSimplex is immutable")
@@ -58,7 +73,11 @@ class AffineSimplex:
         """The i-th face, obtained by dropping vertex i."""
         if not 0 <= i <= self.dim:
             raise ValueError(f"face index {i} out of range")
-        return AffineSimplex(self.vertices[:i] + self.vertices[i + 1 :])
+        if not self.dim:
+            raise ValueError("a 0-simplex has no faces")
+        face = object.__new__(AffineSimplex)
+        face._fill(self.dim - 1, self.ambient, self.vertices[:i] + self.vertices[i + 1 :])
+        return face
 
     def translate(self, vector: Sequence) -> AffineSimplex:
         vec = as_point(vector, self.ambient)
@@ -69,6 +88,41 @@ class AffineSimplex:
     def map_vertices(self, fn: Callable[[tuple], Sequence]) -> AffineSimplex:
         return AffineSimplex(tuple(tuple(as_fraction(x) for x in fn(v)) for v in self.vertices))
 
+    def edges(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The edge vectors v_j - v_0 for j = 1..q."""
+        edges = self._edges
+        if edges is None:
+            n = self.ambient
+            v0 = self.vertices[0]
+            edges = tuple(
+                tuple(v[i] - v0[i] for i in range(n)) for v in self.vertices[1:]
+            )
+            _set_edges(self, edges)
+        return edges
+
+    def substitution(self, translated: bool) -> tuple[Polynomial, ...]:
+        """The coordinates x_i = v0_i (+ g_i) + sum_j t_j (v_j - v_0)_i of
+        the parametrization, as polynomials in g_1..g_n, t_1..t_q; the g_i
+        term is present only when ``translated``."""
+        substitution = self._substitutions.get(translated)
+        if substitution is None:
+            n = self.ambient
+            big = n + self.dim  # variables: g_1..g_n, then t_1..t_q
+            v0 = self.vertices[0]
+            edges = self.edges()
+            substitution = []
+            for i in range(n):
+                coord = Polynomial.constant(big, v0[i])
+                if translated:
+                    coord = coord + Polynomial.variable(big, i)
+                for j, edge in enumerate(edges):
+                    if edge[i]:
+                        coord = coord + Polynomial.variable(big, n + j) * edge[i]
+                substitution.append(coord)
+            substitution = tuple(substitution)
+            self._substitutions[translated] = substitution
+        return substitution
+
     def __eq__(self, other):
         if not isinstance(other, AffineSimplex):
             return NotImplemented
@@ -78,12 +132,19 @@ class AffineSimplex:
         h = self._hash
         if h is None:
             h = hash(self.vertices)
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
         pts = ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.vertices)
         return f"AffineSimplex[{pts}]"
+
+
+# The slot descriptors' setters, bound once: ``__setattr__`` refuses every
+# assignment, so the constructors and the first-use fills go through them.
+_set_dim, _set_ambient, _set_vertices, _set_hash, _set_edges, _set_substitutions = (
+    AffineSimplex.__dict__[name].__set__ for name in AffineSimplex.__slots__
+)
 
 
 class Chain:
@@ -225,29 +286,21 @@ def _simplex_integral(form: PolyForm, simplex: AffineSimplex, translated: bool) 
     Returns a polynomial in the n translation coordinates g_1..g_n; with
     ``translated`` false, g = 0 is substituted first and the result is
     the constant integral over ``simplex`` itself.  Works uniformly for
-    q = 0 (signed evaluation at g + vertex).
+    q = 0 (signed evaluation at g + vertex).  A component whose Jacobian
+    minor vanishes contributes nothing, so it is never composed.
     """
     n = simplex.ambient
-    q = simplex.dim
-    big = n + q  # variables: g_1..g_n, then t_1..t_q
-    v0 = simplex.vertices[0]
-    edges = [
-        tuple(v[i] - v0[i] for i in range(n)) for v in simplex.vertices[1:]
-    ]
-    substitution = []
-    for i in range(n):
-        coord = Polynomial.constant(big, v0[i])
-        if translated:
-            coord = coord + Polynomial.variable(big, i)
-        for j, edge in enumerate(edges):
-            if edge[i]:
-                coord = coord + Polynomial.variable(big, n + j) * edge[i]
-        substitution.append(coord)
-    total = Polynomial.zero(n)
+    edges = simplex.edges()
+    minors = []
     for idx, poly in form.components.items():
         jac = det([[edge[a] for a in idx] for edge in edges])
-        if not jac:
-            continue
+        if jac:
+            minors.append((poly, jac))
+    total = Polynomial.zero(n)
+    if not minors:
+        return total
+    substitution = simplex.substitution(translated)
+    for poly, jac in minors:
         pulled = poly.compose(substitution)
         total = total + pulled.map_monomials(
             n, lambda exp: (exp[:n], jac * _dirichlet(exp[n:]))
@@ -303,9 +356,9 @@ def pushforward(diffeo, chain: Chain) -> Chain:
     if diffeo.dim != chain.ambient:
         raise DimensionMismatchError("map and chain live in different spaces")
     if chain.dim > 0 and diffeo.degree() > 1:
-        raise ValueError(
-            "image of a positive-dimensional affine chain under a nonlinear map "
-            "is not an affine chain"
+        raise NonAffineImageError(
+            f"image of a positive-dimensional affine chain under the nonlinear "
+            f"map {diffeo.label or diffeo!r} is not an affine chain"
         )
     return Chain(
         chain.dim,

@@ -43,7 +43,7 @@ from typing import Callable
 from .chains import Chain, integrate_translated, require_cycle
 from .diffeo import DEFAULT_DEGREE_CAP, PolyDiffeo
 from .errors import DimensionMismatchError
-from .forms import PolyForm, PolyVectorField, ext_d, interior
+from .forms import PolyForm, ext_d
 from .polynomial import as_fraction
 
 
@@ -149,10 +149,18 @@ def delta_double_prime(c: Cochain) -> Cochain:
 def f_gamma(gamma: Chain, omega: PolyForm, *, check_cycle: bool = True) -> PolyForm:
     """Transgress a form on R^n to a form on the translation group.
 
-    The result has degree deg(omega) - dim(gamma); its value on constant
-    vectors X_1..X_p at the translation g is the exact integral of
-    i(X_p)...i(X_1) omega over g + gamma.  When deg(omega) < dim(gamma)
+    The result has degree p = deg(omega) - dim(gamma); its value on
+    constant vectors X_1..X_p at the translation g is the exact integral
+    of i(X_p)...i(X_1) omega over g + gamma.  When deg(omega) < dim(gamma)
     the result is 0.
+
+    The contraction by the basis fields works on indices: for each
+    component f dx_I and each p-subset ``pos`` of positions in I, the
+    term dx_{I[pos]} of the result receives the integral of
+    (-1)^(sum(pos) - p(p-1)/2) f dx_{I minus I[pos]}.  That sign is
+    i(e_{a_p})...i(e_{a_1}) with a = I[pos]: each axis is dropped at its
+    position among the axes still left.  Each such term is integrated
+    once, by one ``integrate_translated`` call.
 
     ``check_cycle`` enforces that gamma has zero boundary, which the
     intertwining identity with the exterior derivative needs; pass
@@ -168,18 +176,22 @@ def f_gamma(gamma: Chain, omega: PolyForm, *, check_cycle: bool = True) -> PolyF
     if omega.degree < gamma.dim:
         return PolyForm.zero(n, 0)
     p = omega.degree - gamma.dim
-    comps = {}
-    for idx in itertools.combinations(range(n), p):
-        contracted = omega
-        for axis in idx:
-            field = PolyVectorField.constant(
-                n, [1 if i == axis else 0 for i in range(n)]
+    shift = p * (p - 1) // 2
+    # contracted[axes][rest]: the coefficient of dx_rest in the contraction
+    # by e_axes; distinct (component, positions) pairs never collide
+    contracted = {}
+    for idx, poly in omega.components.items():
+        for pos in itertools.combinations(range(omega.degree), p):
+            axes = tuple(idx[j] for j in pos)
+            rest = tuple(a for j, a in enumerate(idx) if j not in pos)
+            contracted.setdefault(axes, {})[rest] = (
+                -poly if (sum(pos) - shift) % 2 else poly
             )
-            contracted = interior(field, contracted)
-        poly = integrate_translated(contracted, gamma)
-        if not poly.is_zero():
-            comps[idx] = poly
-    return PolyForm(n, p, comps)
+    comps = {
+        axes: integrate_translated(PolyForm._raw(n, gamma.dim, contracted[axes]), gamma)
+        for axes in sorted(contracted)
+    }
+    return PolyForm._raw(n, p, comps)
 
 
 def F_gamma(c: Cochain, gamma: Chain) -> Cochain:

@@ -67,6 +67,14 @@ def polynomial_to_json(poly: Polynomial) -> list:
     ]
 
 
+def _natural(value, what: str) -> int:
+    """``value`` itself if it is a JSON integer >= 0; floats, strings and
+    booleans are refused rather than truncated or parsed."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ScenarioError(f"{what} must be an integer >= 0, got {value!r}")
+
+
 def polynomial_from_json(data, dim: int) -> Polynomial:
     if not isinstance(data, list):
         raise ScenarioError("polynomial must be a list of terms")
@@ -106,11 +114,13 @@ def form_from_json(data) -> PolyForm:
     if not isinstance(data, dict):
         raise ScenarioError("form must be an object")
     try:
-        dim = int(data["dim"])
-        degree = int(data["degree"])
+        dim = data["dim"]
+        degree = data["degree"]
         raw = data["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ScenarioError(f"form needs dim, degree, components: {exc}") from None
+    dim = _natural(dim, "form dim")
+    degree = _natural(degree, "form degree")
     if not isinstance(raw, list):
         raise ScenarioError("form components must be a list")
     comps = {}
@@ -189,10 +199,7 @@ def chain_to_json(chain: Chain) -> dict:
 def chain_from_json(data, ambient: int | None = None) -> Chain:
     if not isinstance(data, dict) or "dim" not in data or "simplices" not in data:
         raise ScenarioError("chain must be an object with dim and simplices")
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError):
-        raise ScenarioError(f"bad chain dimension {data.get('dim')!r}") from None
+    dim = _natural(data["dim"], "chain dim")
     raw = data["simplices"]
     if not isinstance(raw, list):
         raise ScenarioError("chain simplices must be a list")

@@ -18,7 +18,7 @@ from cocycle_forge.chains import (
     require_cycle,
 )
 from cocycle_forge.diffeo import PolyDiffeo
-from cocycle_forge.errors import NotACycleError
+from cocycle_forge.errors import NonAffineImageError, NotACycleError
 from cocycle_forge.forms import PolyForm, ext_d
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.sampling import random_form, random_simplex
@@ -42,6 +42,26 @@ class TestSimplexAndChain:
         tri = AffineSimplex([(0, 0), (1, 0), (0, 1)])
         assert tri.face(0) == AffineSimplex([(1, 0), (0, 1)])
         assert tri.face(2) == AffineSimplex([(0, 0), (1, 0)])
+
+    @given(st.integers(0, 10**6), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_face_matches_fresh_simplex(self, seed, q):
+        sigma = random_simplex(random.Random(seed), 3, q)
+        for i in range(q + 1):
+            face = sigma.face(i)
+            fresh = AffineSimplex(sigma.vertices[:i] + sigma.vertices[i + 1 :])
+            assert face == fresh
+            assert hash(face) == hash(fresh)
+            assert (face.dim, face.ambient) == (fresh.dim, fresh.ambient)
+            if q > 1:
+                assert face.face(0) == fresh.face(0)
+            else:
+                with pytest.raises(ValueError):
+                    face.face(0)
+            with pytest.raises(AttributeError):
+                face.vertices = ()
+            with pytest.raises(AttributeError):
+                face.dim = 0
 
     def test_chain_algebra(self):
         a = Chain.point([0, 0])
@@ -153,6 +173,48 @@ class TestIntegration:
         assert integrate(x_dy, loop) == 2
 
 
+    @given(st.integers(0, 10**6), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_repeat_integration_matches_fresh_simplex(self, seed, q):
+        # the parametrization a simplex keeps after its first integral
+        # gives the same values as one built afresh, in either order of
+        # fixed and translated integrals
+        rng = random.Random(seed)
+        sigma = random_simplex(rng, 3, q)
+        chain = Chain(q, 3, {sigma: 1})
+        forms = [random_form(rng, 3, q, 3) for _ in range(3)]
+        for w in forms:
+            fresh = Chain(q, 3, {AffineSimplex(sigma.vertices): 1})
+            assert integrate_translated(w, chain) == integrate_translated(w, fresh)
+            assert integrate(w, chain) == integrate(w, fresh)
+        for w in forms:
+            fresh = Chain(q, 3, {AffineSimplex(sigma.vertices): 1})
+            assert integrate(w, chain) == integrate(w, fresh)
+            assert integrate_translated(w, chain) == integrate_translated(w, fresh)
+
+    def test_vanishing_minors_integrate_to_zero(self, monkeypatch):
+        # the triangle lies in the plane x1 = 0, so every minor of the
+        # dx1-components vanishes and nothing needs composing
+        tri = Chain.simplex([(0, 0, 0), (0, 1, 0), (0, 2, 3)])
+        w = PolyForm(
+            3,
+            2,
+            {
+                (0, 1): Polynomial.variable(3, 2) + 1,
+                (0, 2): Polynomial.variable(3, 1) * Polynomial.variable(3, 0),
+            },
+        )
+
+        def refuse(self, args):
+            raise AssertionError("a vanishing minor was composed")
+
+        monkeypatch.setattr(Polynomial, "compose", refuse)
+        assert integrate(w, tri) == 0
+        assert integrate_translated(w, tri).is_zero()
+        seg = Chain.segment([1, 2, 3], [1, 2, 5])
+        assert integrate_translated(PolyForm.dx(3, 0) + PolyForm.dx(3, 1), seg).is_zero()
+
+
 class TestStokes:
     @given(st.integers(0, 10**6), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -202,6 +264,11 @@ class TestPushforward:
     def test_nonaffine_rejected_on_positive_dimension(self):
         sigma = PolyDiffeo.shear(2, 0, Polynomial(2, {(0, 2): Fraction(1)}))
         with pytest.raises(ValueError):
+            pushforward(sigma, Chain.segment([0, 0], [0, 1]))
+
+    def test_nonaffine_refusal_names_the_map(self):
+        sigma = PolyDiffeo.shear(2, 0, Polynomial(2, {(0, 2): Fraction(1)}), "sigma")
+        with pytest.raises(NonAffineImageError, match="nonlinear map 'sigma'"):
             pushforward(sigma, Chain.segment([0, 0], [0, 1]))
 
     def test_change_of_variables(self):

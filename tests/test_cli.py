@@ -1,12 +1,18 @@
 """The command-line interface: reports, exit codes, and byte-level determinism."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocycle_forge import cli
 
@@ -14,6 +20,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 R1 = str(SCENARIO_DIR / "r1_line.json")
 R2 = str(SCENARIO_DIR / "r2_area.json")
+R3 = str(SCENARIO_DIR / "r3_volume.json")
 
 
 def run_main(capsys, *argv):
@@ -237,9 +244,119 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "ValueTooLargeError"
 
+    def test_nonlinear_pushforward_is_named_error(self, capsys, tmp_path):
+        # the stabilizer sampler pushes the loop forward along every
+        # generator, and the shear s23 is not affine
+        data = json.loads(Path(R3).read_text())
+        data["descent"] = {"p": 1}
+        corners = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
+        data["cycle"] = {
+            "dim": 1,
+            "simplices": [
+                {"coeff": "1", "verts": [corners[k], corners[(k + 1) % 3]]} for k in range(3)
+            ],
+        }
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(data))
+        with pytest.warns(UserWarning, match="descent depth"):
+            code, report = run_main(
+                capsys, "check-triviality", "--scenario", str(path),
+                "--subgroup", "stabilizer", "--samples", "2",
+            )
+        assert code == 2
+        assert report["error"]["type"] == "NonAffineImageError"
+        assert "nonlinear map 's23'" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("form degree", 2.9),
+            ("form degree", True),
+            ("form dim", "2"),
+            ("chain dim", 0.5),
+            ("chain dim", "0"),
+            ("chain dim", False),
+        ],
+    )
+    def test_non_integer_dim_or_degree_is_config_error(self, capsys, tmp_path, field, value):
+        # int() would truncate 2.9 and 0.5 and parse "0", and the scenario
+        # would load as if the file had said 2 or 0
+        data = json.loads(Path(R2).read_text())
+        if field == "chain dim":
+            data["cycle"]["dim"] = value
+        else:
+            data["forms"][0]["form"][field.split()[1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, report = run_main(
+            capsys, "eval-cocycle", "--scenario", str(path), "--tuple", "T1", "T2"
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ScenarioError"
+        assert f"{field} must be an integer >= 0, got {value!r}" in report["error"]["message"]
+
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["make-plots", "--scenario", R1])
+
+
+# JSON values a hand-edited dim or degree field might hold
+ODD_VALUES = st.one_of(
+    st.integers(-2, 4),
+    st.integers(-(10**12), 10**12),
+    st.floats(),
+    st.sampled_from(["0", "1", "2", "3", "x", ""]),
+    st.booleans(),
+    st.none(),
+)
+FUZZ_COMMANDS = (
+    ("eval-cocycle", "--tuple"),
+    ("check-triviality", "--subgroup", "stabilizer", "--samples", "1"),
+    ("build-cocycle", "--samples", "1"),
+)
+
+
+@st.composite
+def mutated_scenario(draw):
+    """r2 or r3 with its cycle replaced by a point, segment or loop and
+    its cycle dim and form dim/degree possibly replaced by odd values."""
+    name, n = draw(st.sampled_from([("r2_area", 2), ("r3_volume", 3)]))
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    coord = st.integers(-2, 2).map(str)
+    a, b, c = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=3, max_size=3))
+    kind = draw(st.sampled_from(["keep", "point", "segment", "loop"]))
+    if kind != "keep":
+        edges = {"point": [[a]], "segment": [[a, b]], "loop": [[a, b], [b, c], [c, a]]}[kind]
+        data["cycle"] = {
+            "dim": 0 if kind == "point" else 1,
+            "simplices": [{"coeff": "1", "verts": verts} for verts in edges],
+        }
+    if draw(st.booleans()):
+        data["cycle"]["dim"] = draw(ODD_VALUES)
+    form = data["forms"][0]["form"]
+    for key in ("dim", "degree"):
+        if draw(st.booleans()):
+            form[key] = draw(ODD_VALUES)
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    if command[0] == "eval-cocycle":
+        command += tuple(f"T{i}" for i in range(1, n + 1))
+    return data, command
+
+
+class TestLoaderFuzz:
+    @given(mutated_scenario())
+    @settings(max_examples=150, deadline=2000)
+    def test_exit_code_contract(self, case):
+        data, command = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.json"
+            path.write_text(json.dumps(data))
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
+                warnings.simplefilter("ignore")
+                code = cli.main([*command, "--scenario", str(path)])
+        assert code in (0, 1, 2)
+        report = json.loads(out.getvalue())
+        assert ("error" in report) == (code == 2)
 
 
 class TestSubprocess:

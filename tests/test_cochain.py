@@ -1,11 +1,14 @@
 """Group cochains with form and real values; the two differentials; transgression."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cocycle_forge.chains import Chain
+from cocycle_forge.chains import Chain, integrate_translated
 from cocycle_forge.cochain import (
     Cochain,
     F_gamma,
@@ -19,7 +22,7 @@ from cocycle_forge.errors import (
     DimensionMismatchError,
     NotACycleError,
 )
-from cocycle_forge.forms import PolyForm, ext_d
+from cocycle_forge.forms import PolyForm, PolyVectorField, ext_d, interior
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.sampling import random_form, random_vector
 
@@ -172,7 +175,49 @@ class TestBigD:
             assert dd(*words[3 * k : 3 * k + 3]) == 0
 
 
+def reference_f_gamma(gamma, omega):
+    """The transgression by its definition: contract by the constant basis
+    fields e_{a_1}, ..., e_{a_p} one interior product at a time, then
+    integrate the contracted form over g + gamma."""
+    n = omega.dim
+    if omega.degree < gamma.dim:
+        return PolyForm.zero(n, 0)
+    p = omega.degree - gamma.dim
+    comps = {}
+    for idx in itertools.combinations(range(n), p):
+        contracted = omega
+        for axis in idx:
+            field = PolyVectorField.constant(n, [1 if i == axis else 0 for i in range(n)])
+            contracted = interior(field, contracted)
+        comps[idx] = integrate_translated(contracted, gamma)
+    return PolyForm(n, p, comps)
+
+
+@st.composite
+def chain_and_form(draw):
+    """A point, a triangle loop or a segment in R^n, n = 1..4, and a form
+    of any degree on R^n; the flag marks the segment, which is no cycle."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    a, b, c = (random_vector(rng, n, 3) for _ in range(3))
+    kind = draw(st.sampled_from(["point", "loop", "segment"]))
+    gamma = {
+        "point": Chain.point(a),
+        "loop": Chain.triangle_loop(a, b, c),
+        "segment": Chain.segment(a, b),
+    }[kind]
+    omega = random_form(rng, n, draw(st.integers(0, n)), 2)
+    return gamma, omega, kind == "segment"
+
+
 class TestFGamma:
+    @given(chain_and_form())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_interior_product_definition(self, case):
+        gamma, omega, is_segment = case
+        out = f_gamma(gamma, omega, check_cycle=not is_segment)
+        assert out == reference_f_gamma(gamma, omega)
+
     def test_point_cycle_identity_on_constants(self):
         rng = seeded("point")
         point = Chain.point([0, 0])

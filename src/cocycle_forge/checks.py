@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .chains import Chain, boundary, integrate, pushforward
+from .chains import Chain, boundary, integrate, pushforward, require_cycle
 from .cochain import Cochain, F_gamma, delta_prime, f_gamma
 from .diffeo import GroupPresentation, PolyDiffeo
 from .errors import ScenarioError
@@ -44,6 +44,8 @@ from .sampling import (
     random_vector,
     random_vector_field,
 )
+from .scenario import ScenarioConfig, parse_tuple
+from .serialize import form_to_json
 from .zigzag import (
     ZigzagState,
     b_cochain,
@@ -262,15 +264,23 @@ def _test_cycles(dim: int) -> list[tuple[str, Chain]]:
 
 
 def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
-    """The transgression identities in the translation identification."""
+    """The transgression identities in the translation identification.
+
+    Each test cycle is checked once here, so ``f_gamma`` skips the check.
+    """
     cycles = _test_cycles(dim)
+    for _, gamma in cycles:
+        require_cycle(gamma, "transgression chain")
+
+    def transgress(gamma, omega):
+        return f_gamma(gamma, omega, check_cycle=False)
 
     rng = _rng(seed, "point_id")
     point = cycles[0][1]
 
     def point_identity(_):
         omega = random_constant_form(rng, dim, rng.randint(0, dim))
-        return f_gamma(point, omega) != omega
+        return transgress(point, omega) != omega
 
     checks = [_sweep("point_cycle_identity_on_constants", samples, point_identity)]
 
@@ -280,7 +290,7 @@ def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
         def d_intertwines(_):
             omega = random_form(rng, dim, rng.randint(0, dim), 3)
             return not _same_form(
-                ext_d(f_gamma(gamma, omega)), f_gamma(gamma, ext_d(omega))
+                ext_d(transgress(gamma, omega)), transgress(gamma, ext_d(omega))
             )
 
         checks.append(_sweep(f"d_intertwines_fgamma_{label}", samples, d_intertwines))
@@ -309,8 +319,8 @@ def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
         gamma = cycles[rng.randrange(len(cycles))][1]
         omega = random_form(rng, dim, rng.randint(0, dim), 3)
         mover = PolyDiffeo.translation(random_vector(rng, dim))
-        return f_gamma(gamma, mover.pullback_form(omega)) != mover.pullback_form(
-            f_gamma(gamma, omega)
+        return transgress(gamma, mover.pullback_form(omega)) != mover.pullback_form(
+            transgress(gamma, omega)
         )
 
     checks.append(_sweep("translation_equivariance", samples, equivariance))
@@ -323,7 +333,7 @@ def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
         w1 = random_form(rng, dim, k, 3)
         w2 = random_form(rng, dim, k, 3)
         scale = random_fraction(rng)
-        return f_gamma(gamma, w1 + w2 * scale) != f_gamma(gamma, w1) + f_gamma(
+        return transgress(gamma, w1 + w2 * scale) != transgress(gamma, w1) + transgress(
             gamma, w2
         ) * scale
 
@@ -334,6 +344,45 @@ def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
 # -- descent and cocycle -----------------------------------------------------
 
 
+def _base_residual(state: ZigzagState) -> PolyForm:
+    """omega + d phi_0, which is zero when phi_0 is the base primitive."""
+    return state.omega + ext_d(state.phi(0)())
+
+
+def build_suite(state: ZigzagState) -> list[dict]:
+    """The cochain ladder with the base primitive verified, and phi_i on the
+    first generator repeated i times."""
+    m, p = state.m, state.p
+    g = state.group.generators[0]
+    ladder = [{"level": i, "group_degree": i, "form_degree": m - i - 1} for i in range(p + 1)]
+    values = [
+        {"level": i, "tuple": [g.label] * i, "value": form_to_json(state.phi(i)(*[g] * i))}
+        for i in range(1, p + 1)
+    ]
+    return [
+        _sweep(
+            "descent_build", 1, lambda _: _base_residual(state), form_degree=m, depth=p,
+            ladder=ladder, phi0=form_to_json(state.phi(0)()), sample_values=values,
+        )
+    ]
+
+
+def eval_suite(state: ZigzagState, config: ScenarioConfig, exprs) -> list[dict]:
+    """The cocycle on the scenario's cycle at one tuple of expressions: a
+    value, not an identity, so its one sample cannot fail."""
+    needed = state.p + 1
+    if not exprs:
+        raise ScenarioError("eval-cocycle needs --tuple with p+1 group elements")
+    if len(exprs) != needed:
+        raise ScenarioError(
+            f"eval-cocycle needs exactly {needed} group elements, got {len(exprs)}"
+        )
+    gs = parse_tuple(exprs, config)
+    value = cocycle_eval(state, config.cycle, gs)
+    labels = [g.label for g in gs]
+    return [_sweep("eval_cocycle", 1, lambda _: 0, tuple=list(exprs), labels=labels, value=value)]
+
+
 def cocycle_identity_suite(
     state: ZigzagState,
     alpha: Chain,
@@ -342,8 +391,7 @@ def cocycle_identity_suite(
     max_word_length: int,
 ) -> list[dict]:
     """Base primitive, staircase consistency, and the cocycle condition."""
-    base = state.omega + ext_d(state.phi(0)())
-    checks = [_sweep("base_primitive", 1, lambda _: base)]
+    checks = [_sweep("base_primitive", 1, lambda _: _base_residual(state))]
 
     level_samples = min(samples, 25)
     for i in range(1, state.p + 1):

@@ -27,12 +27,13 @@ import json
 import sys
 import time
 
-from .chains import Chain
 from .checks import (
+    build_suite,
     calculus_suite,
     closed_form_random_sweep,
     closed_form_scenario_check,
     cocycle_identity_suite,
+    eval_suite,
     fgamma_suite,
     point_independence_suite,
     stokes_suite,
@@ -40,21 +41,39 @@ from .checks import (
 )
 from .diffeo import GroupPresentation
 from .errors import CocycleForgeError, ScenarioError
-from .forms import ext_d
-from .scenario import ScenarioConfig, load_scenario, parse_tuple
-from .serialize import form_to_json, json_ready
-from .zigzag import ZigzagState, cocycle_eval
+from .scenario import ScenarioConfig, load_scenario
+from .serialize import json_ready
 
-COMMANDS = (
-    "build-cocycle",
-    "eval-cocycle",
-    "check-cocycle-identity",
-    "check-triviality",
-    "check-closed-form",
-    "check-calculus",
-    "stokes-check",
-    "check-fgamma",
-)
+
+def _cocycle_identity(cfg: ScenarioConfig, args) -> list[dict]:
+    state = cfg.build_state()
+    return cocycle_identity_suite(
+        state, cfg.cycle, cfg.samples, cfg.seed, cfg.max_word_length
+    ) + point_independence_suite(state, min(cfg.samples, 50), cfg.seed, cfg.max_word_length)
+
+
+def _closed_form(cfg: ScenarioConfig, args) -> list[dict]:
+    state = cfg.build_state()
+    return closed_form_scenario_check(state, cfg.samples, cfg.seed) + [
+        closed_form_random_sweep(cfg.dimension, state.m, cfg.samples, cfg.seed)
+    ]
+
+
+# Every command and its runner, which returns the report's check records.  A
+# runner that needs the descent builds it before it validates anything else,
+# and looks its suites up when called, so a replaced suite takes effect.
+COMMANDS = {
+    "build-cocycle": lambda cfg, args: build_suite(cfg.build_state()),
+    "eval-cocycle": lambda cfg, args: eval_suite(cfg.build_state(), cfg, args.tuple),
+    "check-cocycle-identity": _cocycle_identity,
+    "check-triviality": lambda cfg, args: triviality_suite(
+        cfg.build_state(), cfg.cycle, cfg.samples, cfg.seed, cfg.max_word_length, args.subgroup
+    ),
+    "check-closed-form": _closed_form,
+    "check-calculus": lambda cfg, args: calculus_suite(cfg.group, cfg.samples, cfg.seed),
+    "stokes-check": lambda cfg, args: stokes_suite(cfg.dimension, cfg.samples, cfg.seed),
+    "check-fgamma": lambda cfg, args: fgamma_suite(cfg.dimension, cfg.samples, cfg.seed),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,110 +143,16 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return config
 
 
-def _run_build(config: ScenarioConfig, state: ZigzagState) -> list[dict]:
-    m = state.m
-    ladder = [
-        {"level": i, "group_degree": i, "form_degree": m - i - 1}
-        for i in range(state.p + 1)
-    ]
-    base_ok = (state.omega + ext_d(state.phi(0)())).is_zero()
-    sample_values = []
-    g = config.group.generators[0]
-    for i in range(1, state.p + 1):
-        value = state.phi(i)(*([g] * i))
-        sample_values.append(
-            {"level": i, "tuple": [g.label] * i, "value": form_to_json(value)}
-        )
-    return [
-        {
-            "name": "descent_build",
-            "samples": 1,
-            "failures": 0 if base_ok else 1,
-            "pass": base_ok,
-            "form_degree": m,
-            "depth": state.p,
-            "ladder": ladder,
-            "phi0": form_to_json(state.phi(0)()),
-            "sample_values": sample_values,
-        }
-    ]
-
-
-def _run_eval(config: ScenarioConfig, state: ZigzagState, exprs) -> list[dict]:
-    if not exprs:
-        raise ScenarioError("eval-cocycle needs --tuple with p+1 group elements")
-    needed = state.p + 1
-    if len(exprs) != needed:
-        raise ScenarioError(
-            f"eval-cocycle needs exactly {needed} group elements, got {len(exprs)}"
-        )
-    gs = parse_tuple(exprs, config)
-    value = cocycle_eval(state, config.cycle, gs)
-    return [
-        {
-            "name": "eval_cocycle",
-            "samples": 1,
-            "failures": 0,
-            "pass": True,
-            "tuple": list(exprs),
-            "labels": [g.label for g in gs],
-            "value": value,
-        }
-    ]
-
-
 def run_command(command: str, config: ScenarioConfig, args) -> dict:
     """Execute one command against a loaded scenario; returns the report."""
     started = time.perf_counter()
-    samples = config.samples
-    seed = config.seed
-    state = None
-    if command in (
-        "build-cocycle",
-        "eval-cocycle",
-        "check-cocycle-identity",
-        "check-triviality",
-        "check-closed-form",
-    ):
-        state = config.build_state()
-
-    if command == "build-cocycle":
-        checks = _run_build(config, state)
-    elif command == "eval-cocycle":
-        checks = _run_eval(config, state, args.tuple)
-    elif command == "check-cocycle-identity":
-        checks = cocycle_identity_suite(
-            state, config.cycle, samples, seed, config.max_word_length
-        )
-        checks += point_independence_suite(
-            state, min(samples, 50), seed, config.max_word_length
-        )
-    elif command == "check-triviality":
-        checks = triviality_suite(
-            state, config.cycle, samples, seed, config.max_word_length, args.subgroup
-        )
-    elif command == "check-closed-form":
-        checks = closed_form_scenario_check(state, samples, seed)
-        checks.append(
-            closed_form_random_sweep(
-                config.dimension, state.m, samples, seed
-            )
-        )
-    elif command == "check-calculus":
-        checks = calculus_suite(config.group, samples, seed)
-    elif command == "stokes-check":
-        checks = stokes_suite(config.dimension, samples, seed)
-    elif command == "check-fgamma":
-        checks = fgamma_suite(config.dimension, samples, seed)
-    else:  # pragma: no cover - argparse rejects unknown commands first
-        raise ScenarioError(f"unknown command {command!r}")
-
+    checks = COMMANDS[command](config, args)
     report = {
         "command": command,
         "scenario": args.scenario,
         "scenario_name": config.name,
-        "seed": seed,
-        "samples": samples,
+        "seed": config.seed,
+        "samples": config.samples,
         "degree_cap": config.degree_cap,
         "checks": checks,
         "pass": all(c.get("pass", False) for c in checks),

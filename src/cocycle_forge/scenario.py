@@ -20,6 +20,7 @@ Generators come either from builtin constructors —
 
 (1-based axis; the shear polynomial may not involve the sheared axis) —
 or as explicit forward/inverse component pairs ({"type": "explicit"}).
+Every object, at every level, refuses keys it does not know.
 Loading verifies symbolically that every generator preserves every
 declared form and names the offending pair when one does not.
 
@@ -42,12 +43,21 @@ from .serialize import (
     chain_from_json,
     diffeo_from_json,
     form_from_json,
+    is_json_int,
+    json_int,
     parse_fraction,
     polynomial_from_json,
+    refuse_unknown_keys,
 )
 from .zigzag import ZigzagState, build_phi_sequence
 
-_TOP_KEYS = {"name", "description", "dimension", "forms", "group", "cycle", "descent", "verify"}
+# the keys each generator type accepts
+_GENERATOR_KEYS = {
+    "translation": ("type", "vector", "label"),
+    "linear": ("type", "matrix", "label"),
+    "shear": ("type", "axis", "poly", "label"),
+    "explicit": ("type", "forward", "inverse", "label"),
+}
 
 
 class ScenarioConfig:
@@ -109,6 +119,11 @@ def _require(condition: bool, message: str):
 def parse_generator_spec(data, dim: int) -> PolyDiffeo:
     _require(isinstance(data, dict), f"generator spec must be an object, got {data!r}")
     kind = data.get("type")
+    _require(
+        isinstance(kind, str) and kind in _GENERATOR_KEYS,
+        f"unknown generator type {kind!r}; expected {', '.join(_GENERATOR_KEYS)}",
+    )
+    refuse_unknown_keys(data, _GENERATOR_KEYS[kind], f"{kind} generator")
     label = data.get("label", "")
     _require(isinstance(label, str), f"generator label must be a string, got {label!r}")
     if kind == "translation":
@@ -135,7 +150,7 @@ def parse_generator_spec(data, dim: int) -> PolyDiffeo:
     if kind == "shear":
         axis = data.get("axis")
         _require(
-            isinstance(axis, int) and not isinstance(axis, bool) and 1 <= axis <= dim,
+            is_json_int(axis) and 1 <= axis <= dim,
             f"shear axis must be an integer in 1..{dim}",
         )
         poly = polynomial_from_json(data.get("poly"), dim)
@@ -143,13 +158,9 @@ def parse_generator_spec(data, dim: int) -> PolyDiffeo:
             return PolyDiffeo.shear(dim, axis - 1, poly, label)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-    if kind == "explicit":
-        g = diffeo_from_json(data)
-        _require(g.dim == dim, f"explicit generator has dimension {g.dim}, not {dim}")
-        return g
-    raise ScenarioError(
-        f"unknown generator type {kind!r}; expected translation, linear, shear, explicit"
-    )
+    g = diffeo_from_json(data)
+    _require(g.dim == dim, f"explicit generator has dimension {g.dim}, not {dim}")
+    return g
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -162,12 +173,15 @@ def load_scenario(path: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from None
     _require(isinstance(data, dict), "scenario must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    _require(not unknown, f"unknown scenario keys: {sorted(unknown)}")
+    refuse_unknown_keys(
+        data,
+        ("name", "description", "dimension", "forms", "group", "cycle", "descent", "verify"),
+        "scenario",
+    )
 
     dimension = data.get("dimension")
     _require(
-        isinstance(dimension, int) and not isinstance(dimension, bool) and dimension >= 1,
+        is_json_int(dimension) and dimension >= 1,
         f"dimension must be a positive integer, got {dimension!r}",
     )
 
@@ -197,6 +211,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 
     group_data = data.get("group")
     _require(isinstance(group_data, dict), "scenario needs a group object")
+    refuse_unknown_keys(group_data, ("generators",), "group")
     gen_specs = group_data.get("generators")
     _require(
         isinstance(gen_specs, list) and gen_specs,
@@ -217,27 +232,11 @@ def load_scenario(path: str) -> ScenarioConfig:
 
     verify = data.get("verify", {})
     _require(isinstance(verify, dict), "verify must be an object")
-    _require(
-        set(verify) <= {"samples", "max_word_length", "seed", "degree_cap"},
-        f"unknown verify keys: {sorted(set(verify) - {'samples', 'max_word_length', 'seed', 'degree_cap'})}",
-    )
-
-    def _int_field(mapping, key, default, minimum):
-        value = mapping.get(key, default)
-        _require(
-            isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-            f"{key} must be an integer >= {minimum}, got {value!r}",
-        )
-        return value
-
-    samples = _int_field(verify, "samples", 100, 0)
-    max_word_length = _int_field(verify, "max_word_length", 3, 1)
-    seed = verify.get("seed", 0)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        f"seed must be an integer, got {seed!r}",
-    )
-    degree_cap = _int_field(verify, "degree_cap", DEFAULT_DEGREE_CAP, 1)
+    refuse_unknown_keys(verify, ("samples", "max_word_length", "seed", "degree_cap"), "verify")
+    samples = json_int(verify.get("samples", 100), "samples", 0)
+    max_word_length = json_int(verify.get("max_word_length", 3), "max_word_length", 1)
+    seed = json_int(verify.get("seed", 0), "seed")
+    degree_cap = json_int(verify.get("degree_cap", DEFAULT_DEGREE_CAP), "degree_cap", 1)
 
     group = GroupPresentation(
         generators, [f for _, f in named_forms], degree_cap=degree_cap, _trusted=True
@@ -249,10 +248,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 
     descent = data.get("descent", {})
     _require(isinstance(descent, dict), "descent must be an object")
-    _require(
-        set(descent) <= {"p", "homotopy"},
-        f"unknown descent keys: {sorted(set(descent) - {'p', 'homotopy'})}",
-    )
+    refuse_unknown_keys(descent, ("p", "homotopy"), "descent")
     descent_name, descent_form = named_forms[0]
     _require(
         not descent_form.is_zero(),
@@ -260,7 +256,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     )
     m = descent_form.degree
     _require(m >= 1, f"form {descent_name!r} has degree 0 and cannot drive the descent")
-    descent_p = _int_field(descent, "p", m - 1, 0)
+    descent_p = json_int(descent.get("p", m - 1), "p", 0)
     _require(
         descent_p <= m - 1,
         f"descent p must be in 0..{m - 1} for a degree-{m} form, got {descent_p}",

@@ -67,12 +67,26 @@ def polynomial_to_json(poly: Polynomial) -> list:
     ]
 
 
-def _natural(value, what: str) -> int:
-    """``value`` itself if it is a JSON integer >= 0; floats, strings and
-    booleans are refused rather than truncated or parsed."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+def is_json_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` itself if it is a JSON integer >= ``minimum`` (when one is
+    given); floats, strings and booleans are refused rather than truncated
+    or parsed."""
+    if is_json_int(value) and (minimum is None or value >= minimum):
         return value
-    raise ScenarioError(f"{what} must be an integer >= 0, got {value!r}")
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise ScenarioError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def refuse_unknown_keys(data: dict, allowed, what: str):
+    """Raise a ``ScenarioError`` naming every key of ``data`` not in ``allowed``."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ScenarioError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def polynomial_from_json(data, dim: int) -> Polynomial:
@@ -86,7 +100,7 @@ def polynomial_from_json(data, dim: int) -> Polynomial:
         if (
             not isinstance(exps, list)
             or len(exps) != dim
-            or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps)
+            or any(not is_json_int(e) or e < 0 for e in exps)
         ):
             raise ScenarioError(
                 f"exponent vector {exps!r} must be {dim} non-negative integers"
@@ -113,14 +127,15 @@ def form_to_json(form: PolyForm) -> dict:
 def form_from_json(data) -> PolyForm:
     if not isinstance(data, dict):
         raise ScenarioError("form must be an object")
+    refuse_unknown_keys(data, ("dim", "degree", "components"), "form")
     try:
         dim = data["dim"]
         degree = data["degree"]
         raw = data["components"]
     except KeyError as exc:
         raise ScenarioError(f"form needs dim, degree, components: {exc}") from None
-    dim = _natural(dim, "form dim")
-    degree = _natural(degree, "form degree")
+    dim = json_int(dim, "form dim", 0)
+    degree = json_int(degree, "form degree", 0)
     if not isinstance(raw, list):
         raise ScenarioError("form components must be a list")
     comps = {}
@@ -128,9 +143,7 @@ def form_from_json(data) -> PolyForm:
         if not isinstance(entry, dict) or set(entry) != {"idx", "poly"}:
             raise ScenarioError(f"bad form component {entry!r}")
         axes = entry["idx"]
-        if not isinstance(axes, list) or any(
-            not isinstance(a, int) or isinstance(a, bool) for a in axes
-        ):
+        if not isinstance(axes, list) or any(not is_json_int(a) for a in axes):
             raise ScenarioError(f"component index {axes!r} must be a list of integers")
         if any(not 1 <= a <= dim for a in axes):
             raise ScenarioError(f"component index {axes!r} out of range 1..{dim}")
@@ -199,7 +212,8 @@ def chain_to_json(chain: Chain) -> dict:
 def chain_from_json(data, ambient: int | None = None) -> Chain:
     if not isinstance(data, dict) or "dim" not in data or "simplices" not in data:
         raise ScenarioError("chain must be an object with dim and simplices")
-    dim = _natural(data["dim"], "chain dim")
+    refuse_unknown_keys(data, ("dim", "simplices"), "chain")
+    dim = json_int(data["dim"], "chain dim", 0)
     raw = data["simplices"]
     if not isinstance(raw, list):
         raise ScenarioError("chain simplices must be a list")

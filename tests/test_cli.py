@@ -144,6 +144,16 @@ class TestReports:
         assert isinstance(with_t["elapsed_ms"], int)
 
 
+class TestCommandTable:
+    def test_docs_list_every_command(self):
+        doc = cli.__doc__.split("Commands\n--------\n\n")[1].split("\n\n")[0]
+        documented = [line.split()[0] for line in doc.splitlines()]
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command-line interface")[1].split("```sh\n")[1]
+        listed = [line.split()[1] for line in block.split("```")[0].splitlines()]
+        assert documented == list(cli.COMMANDS) == listed
+
+
 class TestExitCodes:
     def test_missing_scenario_is_config_error(self, capsys):
         code, report = run_main(capsys, "build-cocycle", "--scenario", "/no/such.json")
@@ -208,6 +218,17 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "ScenarioError"
         assert repr(data["forms"][0]["name"]) in report["error"]["message"]
+
+    def test_misspelt_generator_key_is_config_error(self, capsys, tmp_path):
+        data = json.loads(Path(R2).read_text())
+        data["group"]["generators"][0]["lable"] = data["group"]["generators"][0].pop("label")
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(data))
+        code, report = run_main(
+            capsys, "eval-cocycle", "--scenario", str(path), "--tuple", "T2", "T2"
+        )
+        assert code == 2
+        assert report["error"]["message"] == "unknown translation generator keys: ['lable']"
 
     def test_value_too_large_to_print_is_named_error(self, capsys):
         # the value is 2200-digit times 2200-digit, past the 4300-digit str limit
@@ -343,19 +364,117 @@ def mutated_scenario(draw):
     return data, command
 
 
+# values a hand-edited generator spec might hold
+SPEC_VALUES = st.one_of(
+    ODD_VALUES,
+    st.lists(ODD_VALUES, max_size=3),
+    st.sampled_from(["translation", "linear", "shear", "explicit", "mystery"]),
+)
+SPEC_KEYS = ("type", "label", "vector", "matrix", "axis", "poly", "forward", "inverse", "lable")
+# Field values other than huge integers, with valid small ones drawn more
+# often.  max_word_length is drawn from these alone: each sampled word may
+# hold that many letters, and no cap bounds it.
+SMALL_FIELD_VALUES = st.one_of(
+    st.integers(-2, 5),
+    st.integers(0, 3),
+    st.floats(),
+    st.sampled_from(["1", "x", "", "poincare-origin", "radial"]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+FIELDS = {
+    ("verify", "samples"): st.one_of(SMALL_FIELD_VALUES, st.integers(-(10**12), 10**12)),
+    ("verify", "max_word_length"): SMALL_FIELD_VALUES,
+    ("verify", "seed"): st.one_of(SMALL_FIELD_VALUES, st.integers(-(10**12), 10**12)),
+    ("verify", "degree_cap"): st.one_of(SMALL_FIELD_VALUES, st.integers(1, 10**12)),
+    ("verify", "tolerance"): SMALL_FIELD_VALUES,
+    ("descent", "p"): SMALL_FIELD_VALUES,
+    ("descent", "homotopy"): SMALL_FIELD_VALUES,
+    ("descent", "depth"): SMALL_FIELD_VALUES,
+}
+
+
+@st.composite
+def group_element(draw, labels, n):
+    """A well-formed --tuple expression: one to three factors joined by *,
+    each a label or T(...), possibly raised to a power ^k (|k| may exceed
+    the bound)."""
+    coord = st.sampled_from(["0", "1", "-1", "1/2", "-3/2"])
+    atom = st.one_of(
+        st.sampled_from(labels),
+        st.lists(coord, min_size=n, max_size=n).map(lambda cs: f"T({','.join(cs)})"),
+    )
+    power = st.one_of(
+        st.just(""),
+        st.integers(-3, 3).map(lambda k: f"^{k}"),
+        st.integers(-1100, 1100).map(lambda k: f"^{k}"),
+    )
+    factors = draw(st.lists(st.tuples(atom, power).map("".join), min_size=1, max_size=3))
+    return draw(st.sampled_from(["*", " * "])).join(factors)
+
+
+# malformed --tuple expressions and factors
+BAD_ELEMENTS = st.sampled_from(
+    ["", " ", "*", "T", "nope", "T(1,0", "T(1)", "T(1,0,0,0)", "T(x,0)", "T1^", "T1^x",
+     "T1**T2", "T1^99999999999999999999", "(T1)", "T1^-0"]
+)
+
+
+@st.composite
+def mutated_inputs(draw):
+    """r2 or r3 with one generator spec, one verify/descent field, or the
+    --tuple of eval-cocycle changed."""
+    name, n = draw(st.sampled_from([("r2_area", 2), ("r3_volume", 3)]))
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    labels = [g["label"] for g in data["group"]["generators"]]
+    width = data["descent"]["p"] + 1
+    target = draw(st.sampled_from(["generator", "field", "tuple"]))
+    if target == "generator":
+        spec = draw(st.sampled_from(data["group"]["generators"]))
+        key = draw(st.sampled_from(SPEC_KEYS))
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(SPEC_VALUES)
+    elif target == "field":
+        section, key = draw(st.sampled_from(sorted(FIELDS)))
+        data[section][key] = draw(FIELDS[section, key])
+    if target == "tuple" or draw(st.booleans()):
+        count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+        exprs = draw(st.lists(group_element(labels, n), min_size=count, max_size=count))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(exprs) - 1))
+            bad = draw(BAD_ELEMENTS)
+            exprs[k] = draw(st.sampled_from([bad, f"{exprs[k]}*{bad}", f"{bad}*{exprs[k]}"]))
+        return data, ("eval-cocycle", "--tuple", *exprs)
+    return data, draw(st.sampled_from(FUZZ_COMMANDS[1:]))
+
+
+def run_mutated(data, command):
+    """Run the CLI on ``data`` written to a scenario file: (exit code, report)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
+            warnings.simplefilter("ignore")
+            code = cli.main([*command, "--scenario", str(path)])
+    return code, json.loads(out.getvalue())
+
+
 class TestLoaderFuzz:
     @given(mutated_scenario())
     @settings(max_examples=150, deadline=2000)
     def test_exit_code_contract(self, case):
-        data, command = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "mutated.json"
-            path.write_text(json.dumps(data))
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
-                warnings.simplefilter("ignore")
-                code = cli.main([*command, "--scenario", str(path)])
+        code, report = run_mutated(*case)
         assert code in (0, 1, 2)
-        report = json.loads(out.getvalue())
+        assert ("error" in report) == (code == 2)
+
+    @given(mutated_inputs())
+    @settings(max_examples=150, deadline=2000)
+    def test_exit_code_contract_specs_fields_tuples(self, case):
+        code, report = run_mutated(*case)
+        assert code in (0, 1, 2)
         assert ("error" in report) == (code == 2)
 
 

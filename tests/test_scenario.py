@@ -177,6 +177,66 @@ class TestValidation:
             load_scenario(write_scenario(tmp_path, data))
 
 
+ROT90 = {"type": "linear", "matrix": [["0", "-1"], ["1", "0"]], "label": "rot90"}
+SHEAR = {"type": "shear", "axis": 1, "poly": [{"exps": [0, 2], "coeff": "1"}], "label": "s"}
+EXPLICIT = {
+    "type": "explicit",
+    "forward": [
+        [{"exps": [1, 0], "coeff": "1"}, {"exps": [0, 2], "coeff": "1"}],
+        [{"exps": [0, 1], "coeff": "1"}],
+    ],
+    "inverse": [
+        [{"exps": [1, 0], "coeff": "1"}, {"exps": [0, 2], "coeff": "-1"}],
+        [{"exps": [0, 1], "coeff": "1"}],
+    ],
+    "label": "e",
+}
+
+
+def _with_generator(spec):
+    def mutate(data):
+        data["group"]["generators"].append(dict(spec, lable="x"))
+
+    return mutate
+
+
+class TestUnknownNestedKeys:
+    """Every object in a scenario refuses a key it does not know, by name."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["group"].update(bogus=1), "unknown group keys: ['bogus']"),
+            (
+                lambda d: d["group"]["generators"][0].update(lable="T1"),
+                "unknown translation generator keys: ['lable']",
+            ),
+            (_with_generator(ROT90), "unknown linear generator keys: ['lable']"),
+            (_with_generator(SHEAR), "unknown shear generator keys: ['lable']"),
+            (_with_generator(EXPLICIT), "unknown explicit generator keys: ['lable']"),
+            (lambda d: d["cycle"].update(coeff="1"), "unknown chain keys: ['coeff']"),
+            (
+                lambda d: d["forms"][0]["form"].update(name="area"),
+                "unknown form keys: ['name']",
+            ),
+        ],
+        ids=["group", "translation", "linear", "shear", "explicit", "cycle", "form"],
+    )
+    def test_refused_and_named(self, tmp_path, mutate, message):
+        data = json.loads(json.dumps(minimal_scenario()))
+        mutate(data)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write_scenario(tmp_path, data))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("spec", [ROT90, SHEAR, EXPLICIT])
+    def test_known_keys_load(self, tmp_path, spec):
+        data = minimal_scenario()
+        data["group"]["generators"].append(spec)
+        config = load_scenario(write_scenario(tmp_path, data))
+        assert config.group.labels()[-1] == spec["label"]
+
+
 class TestGeneratorSpecs:
     def test_shear_axis_is_one_based(self):
         g = parse_generator_spec(

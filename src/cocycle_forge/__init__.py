@@ -57,7 +57,6 @@ from .zigzag import (
     build_phi_sequence,
     closed_form_translation,
     cocycle,
-    coboundary_comparison_residual,
     cocycle_eval,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "build_phi_sequence",
     "closed_form_translation",
     "cocycle",
-    "coboundary_comparison_residual",
     "cocycle_eval",
     "delta_double_prime",
     "delta_prime",

@@ -52,13 +52,24 @@ from .zigzag import (
     build_phi_sequence,
     closed_form_translation,
     cocycle,
-    coboundary_comparison_residual,
     cocycle_eval,
 )
 
 
 def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
+
+
+def _sample_tuples(group, count, width, max_word_length, seed, name) -> list[tuple]:
+    """``count`` tuples of ``width`` words of ``group``, drawn in one call.
+
+    The words' seed is derived from the suite seed and the check ``name``,
+    or is ``seed`` itself when ``name`` is None.
+    """
+    if name is not None:
+        seed = int(_rng(seed, name).random() * 10**9)
+    words = iter(group.sample_words(count * width, max_word_length, seed))
+    return list(zip(*[words] * width))
 
 
 def _sweep(name, samples, trial, *, rational=False, **extra) -> dict:
@@ -177,10 +188,10 @@ def calculus_suite(group: GroupPresentation, samples: int, seed: int) -> list[di
     checks.append(_sweep("pullback_identity", samples, pullback_identity))
 
     rng = _rng(seed, "action")
-    words = group.sample_words(2 * samples, 3, rng.randint(0, 10**9))
+    pairs = _sample_tuples(group, samples, 2, 3, rng.randint(0, 10**9), None)
 
     def action(k):
-        g, h = words[2 * k], words[2 * k + 1]
+        g, h = pairs[k]
         a = random_form(rng, dim, rng.randint(0, dim), 2)
         product = g.compose(h, degree_cap=group.degree_cap)
         return h.pullback_form(g.pullback_form(a)) != product.pullback_form(a)
@@ -395,27 +406,21 @@ def cocycle_identity_suite(
 
     level_samples = min(samples, 25)
     for i in range(1, state.p + 1):
-        words = state.group.sample_words(
-            level_samples * i, max_word_length, int(_rng(seed, f"desc{i}").random() * 10**9)
+        tuples = _sample_tuples(
+            state.group, level_samples, i, max_word_length, seed, f"desc{i}"
         )
         checks.append(
             _sweep(
                 f"descent_consistency_level_{i}",
                 level_samples,
-                lambda k: state.descent_residual(i, words[k * i : (k + 1) * i]),
+                lambda k: state.descent_residual(i, tuples[k]),
             )
         )
 
     dc = delta_prime(cocycle(state, alpha), state.group.degree_cap)
-    width = state.p + 2
-    words = state.group.sample_words(samples * width, max_word_length, seed)
+    tuples = _sample_tuples(state.group, samples, state.p + 2, max_word_length, seed, None)
     checks.append(
-        _sweep(
-            "cocycle_condition",
-            samples,
-            lambda k: dc(*words[k * width : (k + 1) * width]),
-            rational=True,
-        )
+        _sweep("cocycle_condition", samples, lambda k: dc(*tuples[k]), rational=True)
     )
     return checks
 
@@ -432,13 +437,15 @@ def closed_form_scenario_check(
         raise ScenarioError(
             "the closed-form comparison needs a constant-coefficient form"
         )
-    origin = Chain.point([0] * omega.dim)
+    # Built only when sampled: a sweep of no tuples does not check the
+    # origin against the descent depth.
+    c = cocycle(state, Chain.point([0] * omega.dim)) if samples else None
     rng = _rng(seed, "closed_scenario")
     return [
         _sweep(
             "translation_closed_form",
             samples,
-            lambda _: _closed_form_residual(state, origin, rng),
+            lambda _: _closed_form_residual(c, omega, rng),
             rational=True,
         )
     ]
@@ -462,19 +469,19 @@ def closed_form_random_sweep(
     def residual(_):
         omega = nonzero_constant_form(rng, dim, degree)
         state = build_phi_sequence(omega, degree - 1, GroupPresentation(basis, [omega]))
-        return _closed_form_residual(state, origin, rng)
+        return _closed_form_residual(cocycle(state, origin), omega, rng)
 
     return _sweep(
         f"random_closed_form_degree_{degree}", samples, residual, rational=True
     )
 
 
-def _closed_form_residual(state: ZigzagState, origin: Chain, rng) -> Fraction:
-    """The descent value minus (1/m!) w(a_1,...,a_m) on m random translations."""
-    omega = state.omega
+def _closed_form_residual(c: Cochain, omega: PolyForm, rng) -> Fraction:
+    """The cocycle ``c`` of ``omega``'s descent minus (1/m!) w(a_1,...,a_m),
+    on m random translations."""
     vectors = [random_vector(rng, omega.dim) for _ in range(omega.degree)]
     gs = [PolyDiffeo.translation(v) for v in vectors]
-    return cocycle_eval(state, origin, gs) - closed_form_translation(omega, vectors)
+    return c(*gs) - closed_form_translation(omega, vectors)
 
 
 # -- triviality --------------------------------------------------------------
@@ -557,9 +564,7 @@ def sample_stabilizer_linears(
     return out
 
 
-def _alpha_fixing_words(
-    state: ZigzagState, alpha: Chain, count: int, seed: int, max_word_length: int
-) -> list[PolyDiffeo]:
+def _alpha_fixing_subgroup(state: ZigzagState, alpha: Chain) -> GroupPresentation:
     keep = [
         g
         for g in state.group.generators
@@ -569,8 +574,7 @@ def _alpha_fixing_words(
         raise ScenarioError(
             "no generator fixes the cycle; cannot sample the stabilizer"
         )
-    sub = GroupPresentation(keep, degree_cap=state.group.degree_cap)
-    return sub.sample_words(count, max_word_length, seed)
+    return GroupPresentation(keep, degree_cap=state.group.degree_cap)
 
 
 def triviality_suite(
@@ -581,7 +585,11 @@ def triviality_suite(
     max_word_length: int,
     subgroup: str = "linear",
 ) -> list[dict]:
-    """c = Db on cycle-fixing tuples, and the general comparison identity."""
+    """c = Db on cycle-fixing tuples, and on all tuples the comparison identity
+
+        c(g_1,...,g_p,g) = (-1)^{p+1} ( int_{g(alpha)} phi_p(g_1,...,g_p)
+                                        - b(g_1,...,g_p) ) + (Db)(g_1,...,g_p,g).
+    """
     if subgroup not in ("linear", "stabilizer"):
         raise ScenarioError(f"unknown subgroup {subgroup!r}: use linear or stabilizer")
     p = state.p
@@ -593,17 +601,15 @@ def triviality_suite(
                 "linear-subgroup sampling needs a constant-coefficient form"
             )
         rng = _rng(seed, "linear_pool")
-        pool = sample_stabilizer_linears(state.omega, samples * width, rng)
-        for g in pool:
-            if pushforward(g, alpha) != alpha:
-                raise ScenarioError(
-                    "the cycle is not fixed by origin-fixing linear maps; "
-                    "use a point cycle at the origin or subgroup=stabilizer"
-                )
+        pool = [tuple(sample_stabilizer_linears(state.omega, width, rng)) for _ in range(samples)]
+        if any(pushforward(g, alpha) != alpha for gs in pool for g in gs):
+            raise ScenarioError(
+                "the cycle is not fixed by origin-fixing linear maps; "
+                "use a point cycle at the origin or subgroup=stabilizer"
+            )
     else:
-        pool = _alpha_fixing_words(
-            state, alpha, samples * width, int(_rng(seed, "stab").random() * 10**9), max_word_length
-        )
+        sub = _alpha_fixing_subgroup(state, alpha)
+        pool = _sample_tuples(sub, samples, width, max_word_length, seed, "stab")
 
     c = cocycle(state, alpha)
     b = b_cochain(state, alpha)
@@ -611,7 +617,7 @@ def triviality_suite(
     b_values = []
 
     def on_stabilizer(k):
-        gs = tuple(pool[k * width : (k + 1) * width])
+        gs = pool[k]
         residual = c(*gs) - db(*gs)
         if len(b_values) < 5:
             b_values.append({"tuple": [g.label or "?" for g in gs[:p]], "b": b(*gs[:p])})
@@ -627,18 +633,21 @@ def triviality_suite(
         )
     ]
 
-    mixed = state.group.sample_words(
-        samples * width, max_word_length, int(_rng(seed, "mixed").random() * 10**9)
-    )
+    mixed = _sample_tuples(state.group, samples, width, max_word_length, seed, "mixed")
+    phi_p = state.phi(p)
+    sign = (-1) ** width  # (-1)^{p+1}
+
+    def comparison(k):
+        # Evaluated as c, phi_p(g_1..g_p), g(alpha), Db: which error a bad
+        # tuple raises first is part of the report.
+        gs = mixed[k]
+        *lead, g = gs
+        value = c(*gs)
+        moved = integrate(phi_p(*lead), pushforward(g, alpha))
+        return value - sign * (moved - b(*lead)) - db(*gs)
+
     checks.append(
-        _sweep(
-            "coboundary_comparison_identity",
-            samples,
-            lambda k: coboundary_comparison_residual(
-                state, alpha, mixed[k * width : (k + 1) * width]
-            ),
-            rational=True,
-        )
+        _sweep("coboundary_comparison_identity", samples, comparison, rational=True)
     )
     return checks
 
@@ -654,14 +663,15 @@ def point_independence_suite(
     first = Chain.point([0] * dim)
     other_coords = ([3, -2] + [1] * dim)[:dim]
     second = Chain.point(other_coords)
-    width = state.p + 1
-    words = state.group.sample_words(
-        samples * width, max_word_length, int(_rng(seed, "points").random() * 10**9)
+    tuples = _sample_tuples(state.group, samples, state.p + 1, max_word_length, seed, "points")
+    # Built only when sampled: a sweep of no tuples does not check the
+    # points against the descent depth.
+    c_first, c_second = (
+        (cocycle(state, first), cocycle(state, second)) if samples else (None, None)
     )
 
     def residual(k):
-        gs = words[k * width : (k + 1) * width]
-        return cocycle_eval(state, first, gs) - cocycle_eval(state, second, gs)
+        return c_first(*tuples[k]) - c_second(*tuples[k])
 
     return [
         _sweep(

@@ -235,6 +235,10 @@ def load_scenario(path: str) -> ScenarioConfig:
     refuse_unknown_keys(verify, ("samples", "max_word_length", "seed", "degree_cap"), "verify")
     samples = json_int(verify.get("samples", 100), "samples", 0)
     max_word_length = json_int(verify.get("max_word_length", 3), "max_word_length", 1)
+    _require(
+        max_word_length <= MAX_WORD_LENGTH,
+        f"max_word_length may be at most {MAX_WORD_LENGTH}, got {max_word_length}",
+    )
     seed = json_int(verify.get("seed", 0), "seed")
     degree_cap = json_int(verify.get("degree_cap", DEFAULT_DEGREE_CAP), "degree_cap", 1)
 
@@ -288,6 +292,9 @@ def load_scenario(path: str) -> ScenarioConfig:
 # Largest |k| in g^k: the label names all k factors, and coefficients grow
 # with k even where the degree cap never fires, as for a shear.
 MAX_EXPONENT = 1000
+# Largest verify.max_word_length: every sampled word composes up to that
+# many letters, so the cost of a sweep grows with it and nothing else bounds it.
+MAX_WORD_LENGTH = 100
 
 _ATOM = re.compile(r"^(T\(([^()]*)\)|[A-Za-z_][A-Za-z0-9_-]*)(\^(-?\d+))?$")
 

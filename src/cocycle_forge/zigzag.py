@@ -30,8 +30,8 @@ controls triviality: in general
                        + (Db)(g_1,...,g_p,g),
 
 so whenever every element under test maps alpha to itself, c = Db on
-those tuples.  ``coboundary_comparison_residual`` computes the difference of the two
-sides of this identity directly; it must always vanish.
+those tuples.  ``checks.triviality_suite`` checks both sides of this
+identity on sampled tuples; their difference must always vanish.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import warnings
 from fractions import Fraction
 from typing import Sequence
 
-from .chains import Chain, integrate, pushforward, require_cycle
+from .chains import Chain, integrate, require_cycle
 from .cochain import Cochain, delta_double_prime, delta_prime
 from .diffeo import GroupPresentation, PolyDiffeo
 from .errors import (
@@ -168,6 +168,8 @@ def _check_alpha(state: ZigzagState, alpha: Chain):
         )
     require_cycle(alpha, "integration cycle")
     if alpha.dim > 0:
+        # Every public entry calls _integral itself, so the caller of that
+        # entry is four frames up.
         warnings.warn(
             "positive-dimensional cycle on R^n: the coefficient module is "
             "trivial, so the cocycle vanishes identically",
@@ -178,8 +180,9 @@ def _check_alpha(state: ZigzagState, alpha: Chain):
 def cocycle_eval(
     state: ZigzagState, alpha: Chain, gs: Sequence[PolyDiffeo]
 ) -> Fraction:
-    """The cocycle value int_alpha (d'phi_p)(g_1,...,g_{p+1})."""
-    return cocycle(state, alpha)(*gs)
+    """The cocycle value int_alpha (d'phi_p)(g_1,...,g_{p+1}): the one-shot
+    form of ``cocycle``, which a loop over tuples should build once."""
+    return _integral(state, alpha, state.dprimes[state.p])(*gs)
 
 
 def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:
@@ -217,30 +220,3 @@ def b_cochain(state: ZigzagState, alpha: Chain) -> Cochain:
     """The trivializing cochain as a reusable real-valued p-cochain."""
     return _integral(state, alpha, state.phi(state.p))
 
-
-def coboundary_comparison_residual(
-    state: ZigzagState, alpha: Chain, gs: Sequence[PolyDiffeo]
-) -> Fraction:
-    """Difference of the two sides of the coboundary-comparison identity.
-
-    Computes c(g_1,...,g_p,g) minus
-
-        (-1)^{p+1} ( int_{g(alpha)} phi_p(g_1,...,g_p) - b(g_1,...,g_p) )
-        + (Db)(g_1,...,g_p,g)
-
-    where both sides go through independent code paths; the result must
-    be exactly zero.  When g(alpha) = alpha the middle term drops and
-    the identity says c = Db on such tuples.
-    """
-    gs = tuple(gs)
-    if len(gs) != state.p + 1:
-        raise ValueError(f"the identity takes {state.p + 1}-tuples, got {len(gs)}")
-    lead, g = gs[:-1], gs[-1]
-    lhs = cocycle_eval(state, alpha, gs)
-    phi_val = state.phi(state.p)(*lead)
-    moved = integrate(phi_val, pushforward(g, alpha))
-    b_val = integrate(phi_val, alpha)
-    sign = 1 if (state.p + 1) % 2 == 0 else -1
-    db = delta_prime(b_cochain(state, alpha), state.group.degree_cap)(*gs)
-    rhs = sign * (moved - b_val) + db
-    return lhs - rhs

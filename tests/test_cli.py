@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_forge import cli
+from cocycle_forge.scenario import MAX_WORD_LENGTH
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -372,8 +373,9 @@ SPEC_VALUES = st.one_of(
 )
 SPEC_KEYS = ("type", "label", "vector", "matrix", "axis", "poly", "forward", "inverse", "lable")
 # Field values other than huge integers, with valid small ones drawn more
-# often.  max_word_length is drawn from these alone: each sampled word may
-# hold that many letters, and no cap bounds it.
+# often.  max_word_length is drawn from these or from above MAX_WORD_LENGTH,
+# which the loader refuses: valid lengths near the cap sample words too
+# slowly on r2 for the deadline.
 SMALL_FIELD_VALUES = st.one_of(
     st.integers(-2, 5),
     st.integers(0, 3),
@@ -385,7 +387,9 @@ SMALL_FIELD_VALUES = st.one_of(
 )
 FIELDS = {
     ("verify", "samples"): st.one_of(SMALL_FIELD_VALUES, st.integers(-(10**12), 10**12)),
-    ("verify", "max_word_length"): SMALL_FIELD_VALUES,
+    ("verify", "max_word_length"): st.one_of(
+        SMALL_FIELD_VALUES, st.integers(MAX_WORD_LENGTH + 1, 10**12)
+    ),
     ("verify", "seed"): st.one_of(SMALL_FIELD_VALUES, st.integers(-(10**12), 10**12)),
     ("verify", "degree_cap"): st.one_of(SMALL_FIELD_VALUES, st.integers(1, 10**12)),
     ("verify", "tolerance"): SMALL_FIELD_VALUES,

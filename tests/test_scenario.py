@@ -10,6 +10,7 @@ from cocycle_forge.diffeo import PolyDiffeo
 from cocycle_forge.errors import InvarianceError, ScenarioError
 from cocycle_forge.scenario import (
     MAX_EXPONENT,
+    MAX_WORD_LENGTH,
     load_scenario,
     parse_generator_spec,
     parse_group_element,
@@ -150,6 +151,16 @@ class TestValidation:
         data = minimal_scenario()
         data["verify"]["tolerance"] = 0
         with pytest.raises(ScenarioError, match="unknown verify keys"):
+            load_scenario(write_scenario(tmp_path, data))
+
+    def test_word_length_bound(self, tmp_path):
+        data = minimal_scenario()
+        data["verify"]["max_word_length"] = MAX_WORD_LENGTH
+        assert load_scenario(write_scenario(tmp_path, data)).max_word_length == MAX_WORD_LENGTH
+        data["verify"]["max_word_length"] = MAX_WORD_LENGTH + 1
+        with pytest.raises(
+            ScenarioError, match=f"max_word_length may be at most {MAX_WORD_LENGTH}, got"
+        ):
             load_scenario(write_scenario(tmp_path, data))
 
     def test_descent_p_defaults_to_top_level(self, tmp_path):

@@ -13,8 +13,13 @@ import pytest
 import sympy as sp
 
 import descent_oracle
+from cocycle_forge import zigzag
 from cocycle_forge.chains import Chain
-from cocycle_forge.checks import cocycle_identity_suite
+from cocycle_forge.checks import (
+    cocycle_identity_suite,
+    point_independence_suite,
+    triviality_suite,
+)
 from cocycle_forge.cochain import Cochain, delta_prime
 from cocycle_forge.diffeo import GroupPresentation, PolyDiffeo
 from cocycle_forge.errors import (
@@ -31,7 +36,6 @@ from cocycle_forge.zigzag import (
     build_phi_sequence,
     closed_form_translation,
     cocycle,
-    coboundary_comparison_residual,
     cocycle_eval,
 )
 
@@ -217,6 +221,20 @@ class TestCycleChecks:
         with pytest.raises(ValueError):
             cocycle_eval(area_state, ORIGIN2, [PolyDiffeo.identity(2)])
 
+    def test_positive_dimensional_cycle_warning_names_the_caller(self, volume_state):
+        loop = Chain.triangle_loop([0, 0, 0], [1, 0, 0], [0, 1, 0])
+        with pytest.warns(UserWarning, match="depth 1"):
+            shallow = build_phi_sequence(PolyForm.volume(3), 1, volume_state.group)
+        pair = [PolyDiffeo.identity(3)] * 2
+        for entry in (
+            lambda: cocycle_eval(shallow, loop, pair),
+            lambda: cocycle(shallow, loop),
+            lambda: b_cochain(shallow, loop),
+        ):
+            with pytest.warns(UserWarning, match="vanishes identically") as caught:
+                entry()
+            assert [w.filename for w in caught] == [__file__]
+
 
 def cocycle_condition(state, samples, seed, max_word_length):
     """The Dc = 0 entry of the identity suite, over the origin."""
@@ -289,14 +307,50 @@ class TestTriviality:
         with pytest.raises(ValueError):
             b_cochain(area_state, ORIGIN2)(sigma, sigma)
 
+    @staticmethod
+    def comparison_identity(state, alpha, samples, seed, max_word_length):
+        checks = triviality_suite(state, alpha, samples, seed, max_word_length)
+        return next(c for c in checks if c["name"] == "coboundary_comparison_identity")
+
     def test_comparison_identity_residual_zero(self, area_state):
-        words = area_state.group.sample_words(20, 3, 41)
-        for k in range(10):
-            gs = words[2 * k : 2 * k + 2]
-            assert coboundary_comparison_residual(area_state, ORIGIN2, gs) == 0
+        report = self.comparison_identity(area_state, ORIGIN2, 10, 41, 3)
+        assert report["samples"] == 10
+        assert report["failures"] == 0
+        assert report["max_abs_residual"] == 0
 
     def test_comparison_identity_residual_zero_deeper(self, volume_state):
-        words = volume_state.group.sample_words(12, 2, 43)
-        for k in range(4):
-            gs = words[3 * k : 3 * k + 3]
-            assert coboundary_comparison_residual(volume_state, ORIGIN3, gs) == 0
+        report = self.comparison_identity(volume_state, ORIGIN3, 4, 43, 2)
+        assert report["samples"] == 4
+        assert report["failures"] == 0
+        assert report["max_abs_residual"] == 0
+
+
+def require_cycle_calls(monkeypatch, run) -> int:
+    """How many cycles ``run()`` checks through the zigzag module."""
+    calls = []
+    check = zigzag.require_cycle
+    monkeypatch.setattr(zigzag, "require_cycle", lambda *args: calls.append(args) or check(*args))
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+class TestCochainsBuiltOnce:
+    """A suite builds each real-valued cochain once, whatever its sample count."""
+
+    def test_triviality(self, area_state, monkeypatch):
+        counts = [
+            require_cycle_calls(
+                monkeypatch, lambda: triviality_suite(area_state, ORIGIN2, n, 5, 2)
+            )
+            for n in (1, 8)
+        ]
+        assert counts[0] == counts[1]
+
+    def test_cocycle_identity_and_point_independence(self, area_state, monkeypatch):
+        def run(n):
+            cocycle_identity_suite(area_state, ORIGIN2, n, 5, 2)
+            point_independence_suite(area_state, n, 5, 2)
+
+        counts = [require_cycle_calls(monkeypatch, lambda: run(n)) for n in (1, 8)]
+        assert counts[0] == counts[1]

@@ -428,6 +428,16 @@ def cocycle_identity_suite(
 # -- closed form -------------------------------------------------------------
 
 
+def _require_point_depth(state: ZigzagState, check: str):
+    """Refuse a check over point cycles unless the descent reaches p = m - 1,
+    the one depth whose cycles are points, at every sample count."""
+    top = state.omega.degree - 1
+    if state.p != top:
+        raise ScenarioError(
+            f"{check} needs descent depth p = m - 1 = {top}; the scenario has p = {state.p}"
+        )
+
+
 def closed_form_scenario_check(
     state: ZigzagState, samples: int, seed: int
 ) -> list[dict]:
@@ -437,9 +447,8 @@ def closed_form_scenario_check(
         raise ScenarioError(
             "the closed-form comparison needs a constant-coefficient form"
         )
-    # Built only when sampled: a sweep of no tuples does not check the
-    # origin against the descent depth.
-    c = cocycle(state, Chain.point([0] * omega.dim)) if samples else None
+    _require_point_depth(state, "translation_closed_form")
+    c = cocycle(state, Chain.point([0] * omega.dim))
     rng = _rng(seed, "closed_scenario")
     return [
         _sweep(
@@ -664,11 +673,8 @@ def point_independence_suite(
     other_coords = ([3, -2] + [1] * dim)[:dim]
     second = Chain.point(other_coords)
     tuples = _sample_tuples(state.group, samples, state.p + 1, max_word_length, seed, "points")
-    # Built only when sampled: a sweep of no tuples does not check the
-    # points against the descent depth.
-    c_first, c_second = (
-        (cocycle(state, first), cocycle(state, second)) if samples else (None, None)
-    )
+    _require_point_depth(state, "point_cycle_independence")
+    c_first, c_second = cocycle(state, first), cocycle(state, second)
 
     def residual(k):
         return c_first(*tuples[k]) - c_second(*tuples[k])

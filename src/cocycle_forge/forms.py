@@ -73,7 +73,7 @@ class PolyForm:
     the ambient dimension are allowed and always denote the zero form.
     """
 
-    __slots__ = ("dim", "degree", "components", "_hash")
+    __slots__ = ("dim", "degree", "components")
 
     def __init__(self, dim: int, degree: int, components: Mapping[Index, object] | None = None):
         if dim < 0 or degree < 0:
@@ -94,7 +94,6 @@ class PolyForm:
         _set_dim(self, dim)
         _set_degree(self, degree)
         _set_components(self, clean)
-        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, dim: int, degree: int, components: Mapping[Index, Polynomial]) -> PolyForm:
@@ -105,7 +104,6 @@ class PolyForm:
         _set_dim(form, dim)
         _set_degree(form, degree)
         _set_components(form, {i: p for i, p in components.items() if not p.is_zero()})
-        _set_hash(form, None)
         return form
 
     def __setattr__(self, name, value):
@@ -194,11 +192,7 @@ class PolyForm:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self.degree, frozenset(self.components.items())))
-            _set_hash(self, h)
-        return h
+        return hash((self.dim, self.degree, frozenset(self.components.items())))
 
     def __repr__(self):
         return f"PolyForm({self.dim}, {self.degree}, {self.to_str()!r})"
@@ -220,7 +214,7 @@ class PolyForm:
 
 # The slot descriptors' setters, bound once: the constructors fill the
 # slots through them because ``__setattr__`` refuses every assignment.
-_set_dim, _set_degree, _set_components, _set_hash = (
+_set_dim, _set_degree, _set_components = (
     PolyForm.__dict__[name].__set__ for name in PolyForm.__slots__
 )
 

@@ -56,7 +56,7 @@ class Polynomial:
     as Fractions; the zero polynomial has no terms.
     """
 
-    __slots__ = ("dim", "num", "den", "_hash")
+    __slots__ = ("dim", "num", "den")
 
     def __init__(self, dim: int, terms: Mapping[tuple, object] | None = None):
         if dim < 0:
@@ -78,7 +78,6 @@ class Polynomial:
         _set_dim(self, dim)
         _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
         _set_den(self, den)
-        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, dim: int, num: dict, den: int = 1) -> Polynomial:
@@ -94,7 +93,6 @@ class Polynomial:
         _set_dim(poly, dim)
         _set_num(poly, num)
         _set_den(poly, den)
-        _set_hash(poly, None)
         return poly
 
     def __setattr__(self, name, value):
@@ -319,11 +317,7 @@ class Polynomial:
         return self.dim == other.dim and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self.den, frozenset(self.num.items())))
-            _set_hash(self, h)
-        return h
+        return hash((self.dim, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         return f"Polynomial({self.dim}, {self.to_str()!r})"
@@ -356,7 +350,7 @@ class Polynomial:
 
 # The slot descriptors' setters, bound once: the constructors fill the
 # slots through them because ``__setattr__`` refuses every assignment.
-_set_dim, _set_num, _set_den, _set_hash = (
+_set_dim, _set_num, _set_den = (
     Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
 )
 

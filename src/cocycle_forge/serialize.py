@@ -1,4 +1,4 @@
-"""JSON codecs for the exact types.
+"""JSON readers for scenario objects and writers for report values.
 
 Rationals travel as strings ("3", "-1/2") so that exactness survives
 serialization; exponent vectors are integer arrays; form component
@@ -162,14 +162,6 @@ def form_from_json(data) -> PolyForm:
 # -- diffeomorphisms --------------------------------------------------------
 
 
-def diffeo_to_json(g: PolyDiffeo) -> dict:
-    return {
-        "forward": [polynomial_to_json(c) for c in g.forward],
-        "inverse": [polynomial_to_json(c) for c in g.inverse],
-        "label": g.label,
-    }
-
-
 def diffeo_from_json(data) -> PolyDiffeo:
     if not isinstance(data, dict):
         raise ScenarioError("diffeomorphism must be an object")
@@ -195,21 +187,7 @@ def diffeo_from_json(data) -> PolyDiffeo:
 # -- chains -----------------------------------------------------------------
 
 
-def chain_to_json(chain: Chain) -> dict:
-    entries = sorted(chain.terms.items(), key=lambda kv: kv[0].vertices)
-    return {
-        "dim": chain.dim,
-        "simplices": [
-            {
-                "coeff": fraction_to_str(coeff),
-                "verts": [[fraction_to_str(x) for x in v] for v in simplex.vertices],
-            }
-            for simplex, coeff in entries
-        ],
-    }
-
-
-def chain_from_json(data, ambient: int | None = None) -> Chain:
+def chain_from_json(data, ambient: int) -> Chain:
     if not isinstance(data, dict) or "dim" not in data or "simplices" not in data:
         raise ScenarioError("chain must be an object with dim and simplices")
     refuse_unknown_keys(data, ("dim", "simplices"), "chain")
@@ -217,13 +195,6 @@ def chain_from_json(data, ambient: int | None = None) -> Chain:
     raw = data["simplices"]
     if not isinstance(raw, list):
         raise ScenarioError("chain simplices must be a list")
-    if ambient is None:
-        if not raw:
-            raise ScenarioError("cannot infer ambient dimension of an empty chain")
-        first = raw[0].get("verts") if isinstance(raw[0], dict) else None
-        if not first or not isinstance(first, list) or not first[0]:
-            raise ScenarioError("bad simplex entry in chain")
-        ambient = len(first[0])
     terms: dict[AffineSimplex, Fraction] = {}
     for entry in raw:
         if not isinstance(entry, dict) or set(entry) != {"coeff", "verts"}:

@@ -30,6 +30,22 @@ def run_main(capsys, *argv):
     return code, json.loads(out)
 
 
+def r3_loop_scenario(tmp_path):
+    """r3 at descent depth p = 1 over a triangle loop; returns its path."""
+    data = json.loads(Path(R3).read_text())
+    data["descent"] = {"p": 1}
+    corners = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
+    data["cycle"] = {
+        "dim": 1,
+        "simplices": [
+            {"coeff": "1", "verts": [corners[k], corners[(k + 1) % 3]]} for k in range(3)
+        ],
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def run_proc(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "cocycle_forge", *argv],
@@ -269,25 +285,36 @@ class TestExitCodes:
     def test_nonlinear_pushforward_is_named_error(self, capsys, tmp_path):
         # the stabilizer sampler pushes the loop forward along every
         # generator, and the shear s23 is not affine
-        data = json.loads(Path(R3).read_text())
-        data["descent"] = {"p": 1}
-        corners = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
-        data["cycle"] = {
-            "dim": 1,
-            "simplices": [
-                {"coeff": "1", "verts": [corners[k], corners[(k + 1) % 3]]} for k in range(3)
-            ],
-        }
-        path = tmp_path / "loop.json"
-        path.write_text(json.dumps(data))
+        path = r3_loop_scenario(tmp_path)
         with pytest.warns(UserWarning, match="descent depth"):
             code, report = run_main(
-                capsys, "check-triviality", "--scenario", str(path),
+                capsys, "check-triviality", "--scenario", path,
                 "--subgroup", "stabilizer", "--samples", "2",
             )
         assert code == 2
         assert report["error"]["type"] == "NonAffineImageError"
         assert "nonlinear map 's23'" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, check",
+        [
+            ("check-closed-form", "translation_closed_form"),
+            ("check-cocycle-identity", "point_cycle_independence"),
+        ],
+    )
+    @pytest.mark.parametrize("samples", ["0", "2"])
+    def test_point_checks_refuse_shallow_descent(self, capsys, tmp_path, command, check, samples):
+        # point cycles need p = m - 1; the refusal must not depend on the sample count
+        path = r3_loop_scenario(tmp_path)
+        # the identity check also warns that the loop's cocycle vanishes
+        with pytest.warns(UserWarning) as caught:
+            code, report = run_main(capsys, command, "--scenario", path, "--samples", samples)
+        assert any("descent depth" in str(w.message) for w in caught)
+        assert code == 2
+        assert report["error"]["type"] == "ScenarioError"
+        assert report["error"]["message"] == (
+            f"{check} needs descent depth p = m - 1 = 2; the scenario has p = 1"
+        )
 
     @pytest.mark.parametrize(
         "field, value",

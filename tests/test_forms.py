@@ -130,6 +130,31 @@ class TestPolyForm:
         assert evaluate(w, pt, [u, u]) == 0
 
 
+class TestHashContract:
+    """Equal forms hash alike, whatever route built them."""
+
+    def test_routes_to_one_form(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        coeff = Polynomial(2, {(0, 0): 1, (1, 1): "1/2"})
+        w = PolyForm(2, 2, {(0, 1): coeff})
+        vol = PolyForm.volume(2)
+        routes = [
+            PolyForm(2, 2, {(0, 1): 1 + x * y * Fraction(1, 2)}),
+            vol + vol * (x * y * Fraction(1, 2)),
+            (w + w) - w,
+            pullback([x, y], w),
+            ext_d(poincare_h(w)),
+        ]
+        for v in routes:
+            assert v == w and hash(v) == hash(w)
+        assert len({w, *routes}) == 1
+
+    def test_cancellation_to_zero(self):
+        w = PolyForm(2, 1, {(0,): Polynomial.variable(2, 1), (1,): "3/4"})
+        z = w - w
+        assert z == PolyForm.zero(2, 1) and hash(z) == hash(PolyForm.zero(2, 1))
+
+
 class TestWedge:
     def test_basis_wedge(self):
         dx = PolyForm.dx(2, 0)

@@ -1,12 +1,15 @@
 """Exact sparse polynomial arithmetic."""
 
+import ast
 import gc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocycle_forge.polynomial as polynomial_module
 from cocycle_forge.polynomial import (
     Polynomial,
     as_fraction,
@@ -384,3 +387,25 @@ def test_compose_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def layout_reads(path: Path) -> list[str]:
+    """Where the module at ``path`` reads ``num``/``den`` or calls ``Polynomial._raw``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        raw = node.attr == "_raw" and isinstance(node.value, ast.Name) and node.value.id == "Polynomial"
+        if node.attr in ("num", "den") or raw:
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    return found
+
+
+def test_only_polynomial_module_touches_the_coefficient_layout():
+    # the int-numerator layout may change without touching any other module
+    package = Path(polynomial_module.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "polynomial.py" in modules
+    assert layout_reads(package / "polynomial.py")  # the walker does see the layout
+    found = [hit for path in modules if path.name != "polynomial.py" for hit in layout_reads(path)]
+    assert found == []

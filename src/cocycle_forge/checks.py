@@ -23,7 +23,6 @@ from .errors import ScenarioError
 from .forms import (
     PolyForm,
     PolyVectorField,
-    evaluate,
     ext_d,
     interior,
     lie_derivative,
@@ -496,75 +495,63 @@ def _closed_form_residual(c: Cochain, omega: PolyForm, rng) -> Fraction:
 # -- triviality --------------------------------------------------------------
 
 
-def _matrix_multiply(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _random_unimodular(rng: random.Random, dim: int) -> list[list[Fraction]]:
-    """A short product of elementary shear matrices; determinant one."""
-    out = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+def _random_shear_product(rng: random.Random, dim: int) -> PolyDiffeo:
+    """A composite of one to three linear shears x_i -> x_i + c x_j;
+    determinant one."""
+    g = PolyDiffeo.identity(dim)
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(dim)
         j = rng.randrange(dim)
-        if i == j:
-            continue
-        elem = [[Fraction(1 if r == c else 0) for c in range(dim)] for r in range(dim)]
-        elem[i][j] = random_fraction(rng, 2, 2)
-        out = _matrix_multiply(out, elem)
-    return out
+        if i != j:
+            step = Polynomial.variable(dim, j) * random_fraction(rng, 2, 2)
+            g = g.compose(PolyDiffeo.shear(dim, i, step))
+    return g
 
 
-def _form_matrix(omega: PolyForm) -> list[list[Fraction]]:
-    dim = omega.dim
-    origin = [0] * dim
-    basis = [[1 if j == i else 0 for j in range(dim)] for i in range(dim)]
-    return [
-        [evaluate(omega, origin, [basis[i], basis[j]]) for j in range(dim)]
-        for i in range(dim)
-    ]
+def _transvection(rng: random.Random, radial: PolyForm) -> PolyDiffeo:
+    """x -> x + l w(x,v) v for random v and l, where ``radial`` is i(x)w,
+    so that pairing it with v gives the linear function w(x, v).
 
-
-def _random_transvection(rng: random.Random, j_matrix, dim: int) -> list[list[Fraction]]:
-    """I + lambda v (Jv)^T: preserves any constant 2-form with matrix J."""
+    The inverse subtracts the same shift, as w(x + s, v) = w(x, v)
+    whenever s is a multiple of v; the constructor checks it.
+    """
+    dim = radial.dim
     v = [random_fraction(rng, 2, 2) for _ in range(dim)]
     lam = random_fraction(rng, 2, 2)
-    jv = [sum(j_matrix[r][c] * v[c] for c in range(dim)) for r in range(dim)]
-    return [
-        [Fraction(1 if r == c else 0) + lam * v[r] * jv[c] for c in range(dim)]
-        for r in range(dim)
-    ]
+    w_xv = sum((radial.coefficient((k,)) * v[k] for k in range(dim)), Polynomial.zero(dim))
+    xs = [Polynomial.variable(dim, r) for r in range(dim)]
+    shift = [w_xv * (lam * c) for c in v]
+    return PolyDiffeo(
+        [x + s for x, s in zip(xs, shift)],
+        [x - s for x, s in zip(xs, shift)],
+        "transvection",
+    )
 
 
 def sample_stabilizer_linears(
     omega: PolyForm, count: int, rng: random.Random
 ) -> list[PolyDiffeo]:
-    """Random origin-fixing linear maps preserving a constant form.
+    """Random origin-fixing linear maps preserving a constant form, each
+    a product in the group of polynomial diffeomorphisms, labelled "L".
 
-    Volume degree uses products of elementary shears (determinant one);
-    degree two uses transvections x -> x + l w(x,v) v, which preserve
-    every constant 2-form; degree one admits no nontrivial construction
-    here, so the identity is returned.  Every output is re-verified
-    against the form before use.
+    Volume degree composes one to three linear elementary shears, which
+    have determinant one; degree two composes two transvections
+    x -> x + l w(x,v) v, which preserve every constant 2-form; degree
+    one admits no nontrivial construction here, so the identity is
+    returned.  Every output is re-verified against the form before use.
     """
     dim = omega.dim
     out = []
     if omega.degree == 2:
-        j_matrix = _form_matrix(omega)
+        radial = interior(PolyVectorField.euler(dim), omega)
     for _ in range(count):
         if omega.degree == dim:
-            matrix = _random_unimodular(rng, dim)
+            g = _random_shear_product(rng, dim)
         elif omega.degree == 2:
-            matrix = _matrix_multiply(
-                _random_transvection(rng, j_matrix, dim),
-                _random_transvection(rng, j_matrix, dim),
-            )
+            g = _transvection(rng, radial).compose(_transvection(rng, radial))
         else:
-            matrix = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        g = PolyDiffeo.linear(matrix, "L")
+            g = PolyDiffeo.identity(dim)
+        g = PolyDiffeo(g.forward, g.inverse, "L", _trusted=True)
         if not g.preserves(omega):
             raise ScenarioError(
                 "internal sampling error: constructed linear map fails invariance"
@@ -674,10 +661,11 @@ def point_independence_suite(
     second = Chain.point(other_coords)
     tuples = _sample_tuples(state.group, samples, state.p + 1, max_word_length, seed, "points")
     _require_point_depth(state, "point_cycle_independence")
-    c_first, c_second = cocycle(state, first), cocycle(state, second)
+    # the cocycle is linear in the cycle: one cochain on the difference
+    c_difference = cocycle(state, first - second)
 
     def residual(k):
-        return c_first(*tuples[k]) - c_second(*tuples[k])
+        return c_difference(*tuples[k])
 
     return [
         _sweep(

@@ -105,11 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the scenario's composition degree cap",
     )
-    style = parser.add_mutually_exclusive_group()
-    style.add_argument(
-        "--json", action="store_true", help="compact JSON output (default)"
-    )
-    style.add_argument("--pretty", action="store_true", help="indented JSON output")
+    parser.add_argument("--pretty", action="store_true", help="indented JSON output")
     parser.add_argument(
         "--subgroup",
         choices=["linear", "stabilizer"],

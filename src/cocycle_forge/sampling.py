@@ -40,14 +40,8 @@ def random_polynomial(
     acc: dict[tuple, Fraction] = {}
     for _ in range(terms):
         exp = random_monomial(rng, dim, max_degree)
-        coeff = random_fraction(rng)
-        if coeff:
-            total = acc.get(exp, Fraction(0)) + coeff
-            if total:
-                acc[exp] = total
-            else:
-                acc.pop(exp, None)
-    return Polynomial(dim, acc)
+        acc[exp] = acc.get(exp, 0) + random_fraction(rng)
+    return Polynomial(dim, acc)  # drops the terms that summed to zero
 
 
 def random_form(

@@ -18,6 +18,7 @@ from cocycle_forge.chains import Chain
 from cocycle_forge.checks import (
     cocycle_identity_suite,
     point_independence_suite,
+    sample_stabilizer_linears,
     triviality_suite,
 )
 from cocycle_forge.cochain import Cochain, delta_prime
@@ -258,23 +259,32 @@ class TestCocycleCondition:
         assert dc(sigma, t1, t2) == 0
         assert dc(t2, sigma, sigma) == 0
 
-    def test_corrupted_level_is_detected(self, area_state):
+    @staticmethod
+    def corrupted(state):
         # shift phi_1 by a fixed non-constant function; the descent
-        # equations still typecheck but the "cocycle" no longer closes,
-        # and the verifier must notice
+        # equations still typecheck but the "cocycle" no longer closes
         bump = PolyForm.from_polynomial(Polynomial(2, {(0, 2): Fraction(1)}))
-        good_phi1 = area_state.phi(1)
-
+        good_phi1 = state.phi(1)
         bad_phi1 = Cochain(1, 0, 2, lambda g: good_phi1(g) + bump)
-        bad_state = ZigzagState(
-            area_state.omega, 1, area_state.group, [area_state.phi(0), bad_phi1]
-        )
+        return ZigzagState(state.omega, 1, state.group, [state.phi(0), bad_phi1])
+
+    def test_corrupted_level_is_detected(self, area_state):
+        # the verifier must notice the corruption
+        bad_state = self.corrupted(area_state)
         dc = delta_prime(cocycle(bad_state, ORIGIN2))
         t1 = area_state.group.generator("T1")
         t2 = area_state.group.generator("T2")
         assert dc(t1, t2, t2) != 0
         report = cocycle_condition(bad_state, 20, 1, 2)
         assert report["failures"] > 0
+
+    def test_point_independence_detects_corrupted_level(self, area_state):
+        def failures(state):
+            (report,) = point_independence_suite(state, 10, 1, 2)
+            return report["failures"]
+
+        assert failures(area_state) == 0
+        assert failures(self.corrupted(area_state)) > 0
 
     def test_point_cycle_choice_is_free(self, area_state):
         words = area_state.group.sample_words(20, 3, 31)
@@ -299,6 +309,52 @@ class TestTriviality:
             (shear_up.compose(shear_right), shear_right),
         ]:
             assert c(*pair) == db(*pair)
+
+    SYMPLECTIC4 = PolyForm(4, 2, {(0, 1): 1, (2, 3): 1})
+
+    @pytest.mark.parametrize(
+        "omega",
+        [PolyForm.volume(2), PolyForm.volume(3), SYMPLECTIC4, PolyForm.dx(3, 1)],
+        ids=["area", "volume3", "symplectic4", "one_form"],
+    )
+    def test_stabilizer_linears_fix_origin_and_form(self, omega):
+        origin = (0,) * omega.dim
+        pool = sample_stabilizer_linears(omega, 12, random.Random(11))
+        assert len(pool) == 12
+        for g in pool:
+            assert g.degree() == 1
+            assert g.apply(origin) == origin
+            assert g.preserves(omega)
+            assert g.label == "L"
+
+    def test_stabilizer_linears_are_seeded_and_nontrivial(self):
+        def pool(seed):
+            return sample_stabilizer_linears(self.SYMPLECTIC4, 6, random.Random(seed))
+
+        assert pool(4) == pool(4)
+        assert not all(g.is_identity() for g in pool(4))
+
+    @pytest.mark.parametrize(
+        "omega, matrices",
+        [
+            (PolyForm.volume(2), [[[1, -1], [0, 1]], [[1, 0], [1, 1]]]),
+            (
+                SYMPLECTIC4,
+                [
+                    [[3, -1, -2, -3], ["1/2", "1/2", -1, -1], ["5/2", "-3/2", -2, -4],
+                     [-4, 2, 4, 7]],
+                    [[-1, "3/2", -2, "1/2"], [-3, 3, -3, 1], [-1, "1/2", 0, "1/2"],
+                     [-3, 2, -3, 2]],
+                ],
+            ),
+        ],
+        ids=["area", "symplectic4"],
+    )
+    def test_stabilizer_linears_draw_order(self, omega, matrices):
+        # the first maps drawn for one seed; a change in the order of the
+        # rng draws would move every linear-subgroup triviality report
+        pool = sample_stabilizer_linears(omega, 2, random.Random(5))
+        assert pool == [PolyDiffeo.linear(m) for m in matrices]
 
     def test_b_value_shapes(self, area_state):
         sigma = area_state.group.generator("sigma")

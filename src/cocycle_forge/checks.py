@@ -6,9 +6,13 @@ the CLI serializes.  Every residual is an exact rational or an exact
 polynomial form; a check passes only when every sampled residual is
 identically zero.  There are no tolerances anywhere.
 
-Seeding: each check derives its own ``random.Random`` from the suite
-seed and the check name, so adding a check never perturbs the samples
-of its neighbours, and identical inputs reproduce identical reports.
+Seeding: each check draws from its own ``random.Random``, seeded with
+the suite seed and a fixed stream name (``_rng``).  The stream name is
+often not the reported check name (stream ``"ext_d_squared"`` feeds
+``ext_d_squared_zero``), and ``cocycle_condition`` samples its words
+from the suite seed itself.  A check added under a new stream name never
+perturbs the samples of its neighbours, and identical inputs reproduce
+identical reports.
 """
 
 from __future__ import annotations

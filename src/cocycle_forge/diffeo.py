@@ -88,16 +88,10 @@ class PolyDiffeo:
 
     @classmethod
     def translation(cls, vector: Sequence, label: str = "") -> PolyDiffeo:
-        vec = as_point(vector, len(list(vector)))
-        dim = len(vec)
-        fwd = tuple(
-            Polynomial.variable(dim, i) + Polynomial.constant(dim, vec[i])
-            for i in range(dim)
-        )
-        inv = tuple(
-            Polynomial.variable(dim, i) - Polynomial.constant(dim, vec[i])
-            for i in range(dim)
-        )
+        vec = tuple(map(as_fraction, vector))
+        xs = [Polynomial.variable(len(vec), i) for i in range(len(vec))]
+        fwd = tuple(x + c for x, c in zip(xs, vec))
+        inv = tuple(x - c for x, c in zip(xs, vec))
         if not label:
             label = "T(" + ",".join(map(fraction_to_str, vec)) + ")"
         return cls(fwd, inv, label, _trusted=True)
@@ -140,14 +134,9 @@ class PolyDiffeo:
             raise DimensionMismatchError("shear polynomial has the wrong dimension")
         if any(exp[axis] for exp in poly.terms):
             raise ValueError(f"shear polynomial may not involve x{axis + 1}")
-        fwd = tuple(
-            Polynomial.variable(dim, i) + (poly if i == axis else Polynomial.zero(dim))
-            for i in range(dim)
-        )
-        inv = tuple(
-            Polynomial.variable(dim, i) - (poly if i == axis else Polynomial.zero(dim))
-            for i in range(dim)
-        )
+        xs = [Polynomial.variable(dim, i) for i in range(dim)]
+        fwd = (*xs[:axis], xs[axis] + poly, *xs[axis + 1 :])
+        inv = (*xs[:axis], xs[axis] - poly, *xs[axis + 1 :])
         return cls(fwd, inv, label or f"shear{axis + 1}", _trusted=True)
 
     # -- queries -----------------------------------------------------------

@@ -19,10 +19,15 @@ Generators come either from builtin constructors —
     {"type": "shear", "axis": 1, "poly": [...], "label": "sigma"}
 
 (1-based axis; the shear polynomial may not involve the sheared axis) —
-or as explicit forward/inverse component pairs ({"type": "explicit"}).
+or as an explicit map whose two sides are lists of ``dimension``
+polynomials, checked to be inverse to each other:
+
+    {"type": "explicit", "forward": [[...], [...]], "inverse": [[...], [...]], "label": "e"}
+
 Every object, at every level, refuses keys it does not know.
 Loading verifies symbolically that every generator preserves every
-declared form and names the offending pair when one does not.
+declared form and names the offending pair when one does not, and that
+the cycle has zero boundary and dimension m - p - 1.
 
 Group elements on the command line are written in a tiny expression
 language over the generator labels: ``sigma``, ``T(1,0)``,
@@ -35,13 +40,12 @@ import json
 import re
 from typing import Sequence
 
-from .chains import Chain
+from .chains import Chain, is_cycle
 from .diffeo import DEFAULT_DEGREE_CAP, GroupPresentation, PolyDiffeo
 from .errors import InvarianceError, ScenarioError
 from .forms import PolyForm
 from .serialize import (
     chain_from_json,
-    diffeo_from_json,
     form_from_json,
     is_json_int,
     json_int,
@@ -158,9 +162,18 @@ def parse_generator_spec(data, dim: int) -> PolyDiffeo:
             return PolyDiffeo.shear(dim, axis - 1, poly, label)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-    g = diffeo_from_json(data)
-    _require(g.dim == dim, f"explicit generator has dimension {g.dim}, not {dim}")
-    return g
+    forward, inverse = data.get("forward"), data.get("inverse")
+    for side, comps in (("forward", forward), ("inverse", inverse)):
+        _require(
+            isinstance(comps, list) and len(comps) == dim,
+            f"explicit {side} map needs a list of {dim} polynomials",
+        )
+    forward = [polynomial_from_json(c, dim) for c in forward]
+    inverse = [polynomial_from_json(c, dim) for c in inverse]
+    try:
+        return PolyDiffeo(forward, inverse, label)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -270,6 +283,13 @@ def load_scenario(path: str) -> ScenarioConfig:
         homotopy == "poincare-origin",
         f"unsupported homotopy {homotopy!r}; only poincare-origin is implemented",
     )
+
+    expected = m - descent_p - 1
+    _require(
+        cycle.dim == expected,
+        f"cycle dimension {cycle.dim} does not match m-p-1 = {expected}",
+    )
+    _require(is_cycle(cycle), "cycle has nonzero boundary")
 
     name = data.get("name", "")
     _require(isinstance(name, str), "scenario name must be a string")

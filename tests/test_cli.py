@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cocycle_forge import cli
 from cocycle_forge.scenario import MAX_WORD_LENGTH
+from cocycle_forge.serialize import MAX_POLY_EXPONENT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -44,6 +45,19 @@ def r3_loop_scenario(tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def explicit_shear(n):
+    """x1 -> x1 + x2^2 on R^n, written as an explicit generator labelled e."""
+
+    def mono(axis, power=1):
+        return [power if j == axis else 0 for j in range(n)]
+
+    def side(coeff):
+        head = [{"exps": mono(0), "coeff": "1"}, {"exps": mono(1, 2), "coeff": coeff}]
+        return [head] + [[{"exps": mono(i), "coeff": "1"}] for i in range(1, n)]
+
+    return {"type": "explicit", "forward": side("1"), "inverse": side("-1"), "label": "e"}
 
 
 def run_proc(*argv, timeout=None):
@@ -202,6 +216,33 @@ class TestExitCodes:
         report = json.loads(proc.stdout)
         assert report["error"]["type"] == "ScenarioError"
         assert "out of range" in report["error"]["message"]
+
+    @pytest.mark.parametrize("where", ["explicit", "shear", "form"])
+    def test_huge_polynomial_exponent_is_config_error_in_bounded_time(self, tmp_path, where):
+        # y^(10^12): expanding its powers in the inverse or invariance
+        # check would not end
+        data = json.loads(Path(R2).read_text())
+        huge = {"exps": [0, 10**12], "coeff": "1"}
+        if where == "form":
+            data["forms"][0]["form"]["components"][0]["poly"].append(huge)
+        elif where == "shear":
+            data["group"]["generators"].append(
+                {"type": "shear", "axis": 1, "poly": [huge], "label": "h"}
+            )
+        else:
+            spec = explicit_shear(2)
+            spec["forward"][0][1] = huge
+            spec["inverse"][0][1] = dict(huge, coeff="-1")
+            data["group"]["generators"].append(spec)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        proc = run_proc("build-cocycle", "--scenario", str(path), timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["error"]["type"] == "ScenarioError"
+        assert report["error"]["message"] == (
+            f"exponent vector [0, {10**12}] has an exponent above {MAX_POLY_EXPONENT}"
+        )
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         # force a failing record through the real report path
@@ -454,10 +495,11 @@ BAD_ELEMENTS = st.sampled_from(
 
 @st.composite
 def mutated_inputs(draw):
-    """r2 or r3 with one generator spec, one verify/descent field, or the
-    --tuple of eval-cocycle changed."""
+    """r2 or r3, plus an explicit generator, with one generator spec, one
+    verify/descent field, or the --tuple of eval-cocycle changed."""
     name, n = draw(st.sampled_from([("r2_area", 2), ("r3_volume", 3)]))
     data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    data["group"]["generators"].append(explicit_shear(n))
     labels = [g["label"] for g in data["group"]["generators"]]
     width = data["descent"]["p"] + 1
     target = draw(st.sampled_from(["generator", "field", "tuple"]))

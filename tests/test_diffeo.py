@@ -38,6 +38,11 @@ class TestConstructors:
         assert g.apply_inverse(g.apply((3, 4))) == (3, 4)
         assert g.label == "T(1/2,-1)"
 
+    def test_translation_reads_an_iterator_once(self):
+        g = PolyDiffeo.translation(x for x in [1, 2])
+        assert g == PolyDiffeo.translation([1, 2])
+        assert g.label == "T(1,2)"
+
     def test_linear(self):
         rot = PolyDiffeo.linear([[0, -1], [1, 0]], "rot90")
         assert rot.apply((1, 0)) == (0, 1)

@@ -8,6 +8,7 @@ import pytest
 
 from cocycle_forge.diffeo import PolyDiffeo
 from cocycle_forge.errors import InvarianceError, ScenarioError
+from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.scenario import (
     MAX_EXPONENT,
     MAX_WORD_LENGTH,
@@ -16,6 +17,7 @@ from cocycle_forge.scenario import (
     parse_group_element,
     parse_tuple,
 )
+from cocycle_forge.serialize import polynomial_from_json
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -169,6 +171,28 @@ class TestValidation:
         config = load_scenario(write_scenario(tmp_path, data))
         assert config.descent_p == 1  # degree 2 form
 
+    def test_cycle_dimension_must_match_descent(self, tmp_path):
+        # a closed triangle loop, but p = 1 on a 2-form needs a 0-cycle
+        corners = [["0", "0"], ["1", "0"], ["0", "1"]]
+        loop = {
+            "dim": 1,
+            "simplices": [
+                {"coeff": "1", "verts": [corners[k], corners[(k + 1) % 3]]} for k in range(3)
+            ],
+        }
+        data = minimal_scenario(cycle=loop)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write_scenario(tmp_path, data))
+        assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
+
+    def test_cycle_must_have_zero_boundary(self, tmp_path):
+        # p = 0 on a 2-form asks for a 1-cycle; a lone segment is not one
+        segment = {"dim": 1, "simplices": [{"coeff": "1", "verts": [["0", "0"], ["1", "0"]]}]}
+        data = minimal_scenario(cycle=segment, descent={"p": 0})
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write_scenario(tmp_path, data))
+        assert str(info.value) == "cycle has nonzero boundary"
+
     def test_descent_p_above_top_level(self, tmp_path):
         data = minimal_scenario()
         data["descent"]["p"] = 5
@@ -288,6 +312,76 @@ class TestGeneratorSpecs:
             parse_generator_spec(
                 {"type": "shear", "axis": 0, "poly": [], "label": "s"}, 2
             )
+
+
+def _term(exps, coeff="1"):
+    return {"exps": exps, "coeff": coeff}
+
+
+def _shipped_specs():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        data = json.loads(path.read_text())
+        for spec in data["group"]["generators"]:
+            yield pytest.param(spec, data["dimension"], id=f"{path.stem}-{spec['label']}")
+
+
+SPECS = [
+    *_shipped_specs(),
+    pytest.param(
+        {"type": "shear", "axis": 3, "poly": [_term([1, 2, 0]), _term([1, 0, 0], "1/2")],
+         "label": "s3"},
+        3,
+        id="shear-axis3-dim3",
+    ),
+    pytest.param(
+        {"type": "shear", "axis": 2, "poly": [_term([0, 0, 3], "-2")], "label": "s2"},
+        3,
+        id="shear-axis2-dim3",
+    ),
+    pytest.param(
+        {"type": "shear", "axis": 4, "poly": [_term([1, 1, 1, 0]), _term([0, 2, 0, 0], "-1")],
+         "label": "s4"},
+        4,
+        id="shear-axis4-dim4",
+    ),
+    pytest.param(
+        {"type": "shear", "axis": 2, "poly": [_term([0, 0, 0, 1], "2/3"), _term([1, 0, 1, 0])],
+         "label": "t2"},
+        4,
+        id="shear-axis2-dim4",
+    ),
+    pytest.param(EXPLICIT, 2, id="explicit"),
+]
+
+
+def _forward_by_hand(spec, dim):
+    """The forward components a spec describes, built term by term."""
+    unit = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    kind = spec["type"]
+    if kind == "explicit":
+        return [polynomial_from_json(c, dim) for c in spec["forward"]]
+    if kind == "linear":
+        return [Polynomial(dim, dict(zip(unit, row))) for row in spec["matrix"]]
+    xs = [Polynomial(dim, {e: 1}) for e in unit]
+    if kind == "translation":
+        return [x + Fraction(v) for x, v in zip(xs, spec["vector"])]
+    xs[spec["axis"] - 1] += polynomial_from_json(spec["poly"], dim)
+    return xs
+
+
+class TestSpecsMatchValidatingConstructor:
+    """Every generator type builds the map that the validating
+    ``PolyDiffeo`` constructor builds from the same forward components and
+    the spec's inverse: equal in forward, inverse, label and degree."""
+
+    @pytest.mark.parametrize("spec, dim", SPECS)
+    def test_equal(self, spec, dim):
+        g = parse_generator_spec(spec, dim)
+        checked = PolyDiffeo(_forward_by_hand(spec, dim), g.inverse, spec["label"])
+        assert g.forward == checked.forward
+        assert g.inverse == checked.inverse
+        assert g.label == checked.label
+        assert g.degree() == checked.degree()
 
 
 @pytest.fixture(scope="module")

@@ -13,9 +13,10 @@ from cocycle_forge.errors import ScenarioError
 from cocycle_forge.forms import PolyForm
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.sampling import random_form, random_polynomial
+from cocycle_forge.scenario import parse_generator_spec
 from cocycle_forge.serialize import (
+    MAX_POLY_EXPONENT,
     chain_from_json,
-    diffeo_from_json,
     form_from_json,
     form_to_json,
     fraction_to_str,
@@ -81,6 +82,17 @@ class TestPolynomialJson:
         with pytest.raises(ScenarioError):
             polynomial_from_json("nope", 2)
 
+    def test_exponent_cap(self):
+        top = polynomial_from_json([{"exps": [0, MAX_POLY_EXPONENT], "coeff": "1"}], 2)
+        assert top.degree() == MAX_POLY_EXPONENT
+        over = [{"exps": [0, MAX_POLY_EXPONENT + 1], "coeff": "1"}]
+        with pytest.raises(ScenarioError) as info:
+            polynomial_from_json(over, 2)
+        assert str(info.value) == (
+            f"exponent vector [0, {MAX_POLY_EXPONENT + 1}] has an exponent "
+            f"above {MAX_POLY_EXPONENT}"
+        )
+
 
 class TestFormJson:
     def test_round_trip_random(self):
@@ -113,6 +125,7 @@ def _term(exps, coeff="1"):
 
 # sigma(x, y) = (x + y^2, y), with inverse (x - y^2, y)
 SIGMA_JSON = {
+    "type": "explicit",
     "forward": [[_term([1, 0]), _term([0, 2])], [_term([0, 1])]],
     "inverse": [[_term([1, 0]), _term([0, 2], "-1")], [_term([0, 1])]],
     "label": "sigma",
@@ -124,21 +137,39 @@ def _verts(*points):
 
 
 class TestDiffeoJson:
+    """The explicit generator spec, read by ``parse_generator_spec``."""
+
     def test_round_trip(self):
         sigma = PolyDiffeo.shear(2, 0, Polynomial(2, {(0, 2): Fraction(1)}), "sigma")
-        back = diffeo_from_json(json.loads(json.dumps(SIGMA_JSON)))
+        back = parse_generator_spec(json.loads(json.dumps(SIGMA_JSON)), 2)
         assert back == sigma
         assert back.label == "sigma"
 
     def test_inverse_is_verified(self):
         data = dict(SIGMA_JSON, inverse=SIGMA_JSON["forward"])  # no longer a two-sided inverse
-        with pytest.raises(ScenarioError):
-            diffeo_from_json(data)
+        with pytest.raises(ScenarioError) as info:
+            parse_generator_spec(data, 2)
+        assert str(info.value) == "forward o inverse is not the identity (sigma)"
 
     def test_component_count_must_agree(self):
-        data = {"forward": [[_term([1, 0])], [_term([0, 1])]], "inverse": [[_term([1, 0])]]}
-        with pytest.raises(ScenarioError):
-            diffeo_from_json(data)
+        data = {
+            "type": "explicit",
+            "forward": [[_term([1, 0])], [_term([0, 1])]],
+            "inverse": [[_term([1, 0])]],
+        }
+        with pytest.raises(ScenarioError) as info:
+            parse_generator_spec(data, 2)
+        assert str(info.value) == "explicit inverse map needs a list of 2 polynomials"
+
+    @pytest.mark.parametrize(
+        "side, value",
+        [("forward", SIGMA_JSON["forward"][:1]), ("inverse", "x - y^2")],
+        ids=["too-few-forward", "inverse-not-a-list"],
+    )
+    def test_sides_must_be_lists_of_dim_polynomials(self, side, value):
+        with pytest.raises(ScenarioError) as info:
+            parse_generator_spec(dict(SIGMA_JSON, **{side: value}), 2)
+        assert str(info.value) == f"explicit {side} map needs a list of 2 polynomials"
 
 
 class TestChainJson:

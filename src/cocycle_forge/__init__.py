@@ -17,7 +17,7 @@ Quick tour::
     >>> t1 = PolyDiffeo.translation([1, 0], "T1")
     >>> t2 = PolyDiffeo.translation([0, 1], "T2")
     >>> group = GroupPresentation([t1, t2], [area])
-    >>> state = build_phi_sequence(area, 1, group)
+    >>> state = build_phi_sequence(area, group)
     >>> cocycle_eval(state, Chain.point([0, 0]), (t1, t2))
     Fraction(1, 2)
 

@@ -431,16 +431,6 @@ def cocycle_identity_suite(
 # -- closed form -------------------------------------------------------------
 
 
-def _require_point_depth(state: ZigzagState, check: str):
-    """Refuse a check over point cycles unless the descent reaches p = m - 1,
-    the one depth whose cycles are points, at every sample count."""
-    top = state.omega.degree - 1
-    if state.p != top:
-        raise ScenarioError(
-            f"{check} needs descent depth p = m - 1 = {top}; the scenario has p = {state.p}"
-        )
-
-
 def closed_form_scenario_check(
     state: ZigzagState, samples: int, seed: int
 ) -> list[dict]:
@@ -450,7 +440,6 @@ def closed_form_scenario_check(
         raise ScenarioError(
             "the closed-form comparison needs a constant-coefficient form"
         )
-    _require_point_depth(state, "translation_closed_form")
     c = cocycle(state, Chain.point([0] * omega.dim))
     rng = _rng(seed, "closed_scenario")
     return [
@@ -480,7 +469,7 @@ def closed_form_random_sweep(
 
     def residual(_):
         omega = nonzero_constant_form(rng, dim, degree)
-        state = build_phi_sequence(omega, degree - 1, GroupPresentation(basis, [omega]))
+        state = build_phi_sequence(omega, GroupPresentation(basis, [omega]))
         return _closed_form_residual(cocycle(state, origin), omega, rng)
 
     return _sweep(
@@ -664,7 +653,6 @@ def point_independence_suite(
     other_coords = ([3, -2] + [1] * dim)[:dim]
     second = Chain.point(other_coords)
     tuples = _sample_tuples(state.group, samples, state.p + 1, max_word_length, seed, "points")
-    _require_point_depth(state, "point_cycle_independence")
     # the cocycle is linear in the cycle: one cochain on the difference
     c_difference = cocycle(state, first - second)
 

@@ -22,12 +22,13 @@ from .polynomial import Polynomial, fraction_to_str
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # CPython's default int-to-str digit limit, for where the limit is off or absent
 _DEFAULT_DIGIT_LIMIT = 4300
-# Largest exponent of one variable in a scenario polynomial.  Loading
+# Largest total degree of one monomial in a scenario polynomial.  Loading
 # pulls every form back along every generator and checks every explicit
-# inverse by composition, and both expand powers up to this exponent: a
-# form coefficient x1^1000 on R^4 took 2 s to check on a 2-core machine.
-# 64 is also the default degree cap, above which a generator cannot be
-# composed even with a translation.
+# inverse by composition, and both expand powers up to this degree: a
+# form coefficient x1^1000 on R^4 took 2 s to check on a 2-core machine,
+# and the pullback of x^a along a translation of every coordinate has
+# prod(a_i + 1) terms.  64 is also the default degree cap, which counts
+# total degree too.
 MAX_POLY_EXPONENT = 64
 
 
@@ -111,9 +112,9 @@ def polynomial_from_json(data, dim: int) -> Polynomial:
             raise ScenarioError(
                 f"exponent vector {exps!r} must be {dim} non-negative integers"
             )
-        if max(exps, default=0) > MAX_POLY_EXPONENT:
+        if sum(exps) > MAX_POLY_EXPONENT:
             raise ScenarioError(
-                f"exponent vector {exps!r} has an exponent above {MAX_POLY_EXPONENT}"
+                f"exponent vector {exps!r} has total degree above {MAX_POLY_EXPONENT}"
             )
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + parse_fraction(entry["coeff"])

@@ -13,14 +13,18 @@ degree and d'' carries the sign (-1)^i.  Each right-hand side is checked
 closed before h is applied; a failure means the input was not invariant
 or something upstream is broken, so it raises instead of continuing.
 
-Integrating d'phi_p over a cycle of complementary dimension then gives
-a real-valued cocycle: the p+1 cochain
+The descent always runs to the top level p = m - 1, where phi_p is
+valued in 0-forms.  Integrating d'phi_p over a 0-chain of points alpha
+then gives a real-valued cocycle: the p+1 cochain
 
     c(g_1,...,g_{p+1}) = int_alpha (d'phi_p)(g_1,...,g_{p+1}),
 
-which satisfies Dc = 0 identically.  On the translation subgroup with a
-point cycle, c collapses to the closed form (1/m!) w(a_1,...,a_m), and
-this module reproduces that value exactly, not merely up to coboundary.
+which satisfies Dc = 0 identically.  (A shallower depth would pair a
+closed form of positive degree, which is exact on R^n, with a cycle
+that bounds, so its cocycle would vanish identically.)  On the
+translation subgroup with a point cycle, c collapses to the closed form
+(1/m!) w(a_1,...,a_m), and this module reproduces that value exactly,
+not merely up to coboundary.
 
 A companion cochain b(g_1,...,g_p) = int_alpha phi_p(g_1,...,g_p)
 controls triviality: in general
@@ -37,11 +41,10 @@ identity on sampled tuples; their difference must always vanish.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from typing import Sequence
 
-from .chains import Chain, integrate, require_cycle
+from .chains import Chain, integrate
 from .cochain import Cochain, delta_double_prime, delta_prime
 from .diffeo import GroupPresentation, PolyDiffeo
 from .errors import (
@@ -54,7 +57,7 @@ from .polynomial import as_point
 
 
 class ZigzagState:
-    """The form, the group, and the descent cochains phi_0..phi_p.
+    """The form, the group, and the descent cochains phi_0..phi_p, p = m - 1.
 
     ``phis[i]`` is an i-cochain valued in forms of degree m-i-1 and
     ``dprimes[i]`` is d'phi_i, one cochain (and one memo table) per
@@ -70,13 +73,12 @@ class ZigzagState:
     def __init__(
         self,
         omega: PolyForm,
-        p: int,
         group: GroupPresentation,
         phis: Sequence[Cochain],
         dprimes: Sequence[Cochain] = (),
     ):
         self.omega = omega
-        self.p = p
+        self.p = p = omega.degree - 1
         self.group = group
         self.phis = tuple(phis)
         if len(self.phis) != p + 1:
@@ -101,14 +103,12 @@ class ZigzagState:
         return lhs + rhs
 
 
-def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> ZigzagState:
-    """Run the descent to depth p and return the assembled state.
+def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState:
+    """Run the descent to depth p = m - 1 and return the assembled state.
 
-    Requires a nonzero closed form that every generator preserves; the
-    check is skipped when the group was built to preserve it.  On
-    R^n only p = m-1 pairs with a cycle of dimension 0 and produces a
-    nonvanishing real cocycle; other depths are allowed for
-    experimentation but warn.
+    Requires a nonzero closed form of degree m >= 1 that every generator
+    preserves; the invariance check is skipped when the group was built
+    to preserve it.
     """
     if omega.is_zero():
         raise ValueError("the descent needs a nonzero form")
@@ -123,16 +123,8 @@ def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> Zig
                     f"generator {g.label or repr(g)} does not preserve the input form"
                 )
     m = omega.degree
-    if p < 0 or p > m - 1:
-        raise ValueError(
-            f"descent depth {p} out of range: a degree-{m} form supports 0..{m - 1}"
-        )
-    if p != m - 1:
-        warnings.warn(
-            f"descent depth {p} != {m - 1}: the paired cycles have positive "
-            "dimension and the resulting real cocycle vanishes identically on R^n",
-            stacklevel=2,
-        )
+    if m < 1:
+        raise ValueError("the descent needs a form of degree at least 1")
     phi0_value = -poincare_h(omega)
     phis = [Cochain(0, m - 1, omega.dim, lambda: phi0_value)]
     # Level i holds d'phi_{i-1} itself and the state is handed the same
@@ -140,7 +132,7 @@ def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> Zig
     # instead would tie the state and its memos into a reference cycle,
     # left for the cyclic garbage collector to free.
     dprimes = []
-    for i in range(1, p + 1):
+    for i in range(1, m):
         dprimes.append(delta_prime(phis[i - 1], group.degree_cap))
 
         def evaluator(*gs, _dp=dprimes[-1], _i=i):
@@ -155,26 +147,15 @@ def build_phi_sequence(omega: PolyForm, p: int, group: GroupPresentation) -> Zig
             return poincare_h(rhs)
 
         phis.append(Cochain(i, m - i - 1, omega.dim, evaluator))
-    return ZigzagState(omega, p, group, phis, dprimes)
+    return ZigzagState(omega, group, phis, dprimes)
 
 
 def _check_alpha(state: ZigzagState, alpha: Chain):
     if alpha.ambient != state.omega.dim:
         raise DimensionMismatchError("cycle and form live in different spaces")
-    expected = state.m - state.p - 1
-    if alpha.dim != expected:
-        raise DimensionMismatchError(
-            f"cycle dimension {alpha.dim} does not match m-p-1 = {expected}"
-        )
-    require_cycle(alpha, "integration cycle")
-    if alpha.dim > 0:
-        # Every public entry calls _integral itself, so the caller of that
-        # entry is four frames up.
-        warnings.warn(
-            "positive-dimensional cycle on R^n: the coefficient module is "
-            "trivial, so the cocycle vanishes identically",
-            stacklevel=4,
-        )
+    # a 0-chain is a cycle, so only its dimension needs checking
+    if alpha.dim != 0:
+        raise DimensionMismatchError(f"cycle dimension {alpha.dim} does not match m-p-1 = 0")
 
 
 def cocycle_eval(

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_forge import cli
-from cocycle_forge.scenario import MAX_WORD_LENGTH
+from cocycle_forge.scenario import MAX_DIMENSION, MAX_WORD_LENGTH
 from cocycle_forge.serialize import MAX_POLY_EXPONENT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +23,7 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 R1 = str(SCENARIO_DIR / "r1_line.json")
 R2 = str(SCENARIO_DIR / "r2_area.json")
 R3 = str(SCENARIO_DIR / "r3_volume.json")
+R4 = str(SCENARIO_DIR / "r4_symplectic.json")
 
 
 def run_main(capsys, *argv):
@@ -217,14 +218,20 @@ class TestExitCodes:
         assert report["error"]["type"] == "ScenarioError"
         assert "out of range" in report["error"]["message"]
 
-    @pytest.mark.parametrize("where", ["explicit", "shear", "form"])
+    @pytest.mark.parametrize("where", ["explicit", "shear", "form", "spread"])
     def test_huge_polynomial_exponent_is_config_error_in_bounded_time(self, tmp_path, where):
         # y^(10^12): expanding its powers in the inverse or invariance
-        # check would not end
-        data = json.loads(Path(R2).read_text())
-        huge = {"exps": [0, 10**12], "coeff": "1"}
-        if where == "form":
+        # check would not end.  x1^24 x2^24 x3^24 x4^24 has no exponent
+        # above the cap, but its pullback along T(1,1,1,1) has 25^4 terms.
+        spread = where == "spread"
+        data = json.loads(Path(R4 if spread else R2).read_text())
+        huge = {"exps": [24] * 4 if spread else [0, 10**12], "coeff": "1"}
+        if where in ("form", "spread"):
             data["forms"][0]["form"]["components"][0]["poly"].append(huge)
+            if spread:
+                data["group"]["generators"].append(
+                    {"type": "translation", "vector": ["1"] * 4, "label": "T1111"}
+                )
         elif where == "shear":
             data["group"]["generators"].append(
                 {"type": "shear", "axis": 1, "poly": [huge], "label": "h"}
@@ -241,8 +248,49 @@ class TestExitCodes:
         report = json.loads(proc.stdout)
         assert report["error"]["type"] == "ScenarioError"
         assert report["error"]["message"] == (
-            f"exponent vector [0, {10**12}] has an exponent above {MAX_POLY_EXPONENT}"
+            f"exponent vector {huge['exps']} has total degree above {MAX_POLY_EXPONENT}"
         )
+
+    def test_huge_dimension_is_config_error_in_bounded_time(self, tmp_path):
+        # random forms on R^30 would walk all C(30, k) index tuples
+        n = 30
+        data = {
+            "dimension": n,
+            "forms": [{"name": "dx1", "form": {
+                "dim": n, "degree": 1,
+                "components": [{"idx": [1], "poly": [{"exps": [0] * n, "coeff": "1"}]}],
+            }}],
+            "group": {"generators": [
+                {"type": "translation", "vector": ["1"] + ["0"] * (n - 1), "label": "T1"}
+            ]},
+            "cycle": {"dim": 0, "simplices": [{"coeff": "1", "verts": [["0"] * n]}]},
+        }
+        path = tmp_path / "r30.json"
+        path.write_text(json.dumps(data))
+        for command in ("check-calculus", "stokes-check", "check-fgamma"):
+            proc = run_proc(command, "--scenario", str(path), "--samples", "1", timeout=30)
+            assert proc.returncode == 2, proc.stderr
+            assert json.loads(proc.stdout)["error"] == {
+                "type": "ScenarioError",
+                "message": f"dimension must be an integer in 1..{MAX_DIMENSION}, got {n}",
+            }
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe" + json.dumps({"dimension": 2}).encode("utf-16-le"), "codec can't decode"),
+            (b'{"name": ' + b"[" * 200_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["utf-16-bytes", "deep-nesting"],
+    )
+    def test_unreadable_scenario_is_config_error(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, report = run_main(capsys, "build-cocycle", "--scenario", str(path))
+        assert code == 2
+        assert report["error"]["type"] == "ScenarioError"
+        assert report["error"]["message"].startswith(f"scenario {path} is not valid JSON: ")
+        assert reason in report["error"]["message"]
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         # force a failing record through the real report path
@@ -323,39 +371,36 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "ValueTooLargeError"
 
-    def test_nonlinear_pushforward_is_named_error(self, capsys, tmp_path):
-        # the stabilizer sampler pushes the loop forward along every
-        # generator, and the shear s23 is not affine
-        path = r3_loop_scenario(tmp_path)
-        with pytest.warns(UserWarning, match="descent depth"):
-            code, report = run_main(
-                capsys, "check-triviality", "--scenario", path,
-                "--subgroup", "stabilizer", "--samples", "2",
-            )
-        assert code == 2
-        assert report["error"]["type"] == "NonAffineImageError"
-        assert "nonlinear map 's23'" in report["error"]["message"]
-
     @pytest.mark.parametrize(
         "command, check",
         [
             ("check-closed-form", "translation_closed_form"),
             ("check-cocycle-identity", "point_cycle_independence"),
+            ("build-cocycle", "descent_build"),
+            ("eval-cocycle", "eval_cocycle"),
+            ("check-triviality", "coboundary_on_linear_stabilizer"),
+            ("check-calculus", "ext_d_squared_zero"),
+            ("stokes-check", "stokes_exact"),
+            ("check-fgamma", "point_cycle_identity_on_constants"),
         ],
     )
     @pytest.mark.parametrize("samples", ["0", "2"])
     def test_point_checks_refuse_shallow_descent(self, capsys, tmp_path, command, check, samples):
-        # point cycles need p = m - 1; the refusal must not depend on the sample count
-        path = r3_loop_scenario(tmp_path)
-        # the identity check also warns that the loop's cocycle vanishes
-        with pytest.warns(UserWarning) as caught:
-            code, report = run_main(capsys, command, "--scenario", path, "--samples", samples)
-        assert any("descent depth" in str(w.message) for w in caught)
+        # The descent runs to p = m - 1 only.  r3 at that depth reaches
+        # `check`; a copy at p = 1 over a loop is refused at load instead,
+        # whatever the command and the sample count.
+        argv = [command, "--samples", samples]
+        if command == "eval-cocycle":
+            argv += ["--tuple", "T1", "T2", "T3"]
+        code, report = run_main(capsys, *argv, "--scenario", R3)
+        assert code == 0
+        assert check in [c["name"] for c in report["checks"]]
+        code, report = run_main(capsys, *argv, "--scenario", r3_loop_scenario(tmp_path))
         assert code == 2
-        assert report["error"]["type"] == "ScenarioError"
-        assert report["error"]["message"] == (
-            f"{check} needs descent depth p = m - 1 = 2; the scenario has p = 1"
-        )
+        assert report["error"] == {
+            "type": "ScenarioError",
+            "message": "descent p must be m - 1 = 2 for a degree-3 form, got 1",
+        }
 
     @pytest.mark.parametrize(
         "field, value",
@@ -443,7 +488,8 @@ SPEC_KEYS = ("type", "label", "vector", "matrix", "axis", "poly", "forward", "in
 # Field values other than huge integers, with valid small ones drawn more
 # often.  max_word_length is drawn from these or from above MAX_WORD_LENGTH,
 # which the loader refuses: valid lengths near the cap sample words too
-# slowly on r2 for the deadline.
+# slowly on r2 for the deadline.  dimension is drawn likewise from these or
+# from above MAX_DIMENSION.
 SMALL_FIELD_VALUES = st.one_of(
     st.integers(-2, 5),
     st.integers(0, 3),
@@ -461,6 +507,7 @@ FIELDS = {
     ("verify", "seed"): st.one_of(SMALL_FIELD_VALUES, st.integers(-(10**12), 10**12)),
     ("verify", "degree_cap"): st.one_of(SMALL_FIELD_VALUES, st.integers(1, 10**12)),
     ("verify", "tolerance"): SMALL_FIELD_VALUES,
+    ("", "dimension"): st.one_of(SMALL_FIELD_VALUES, st.integers(MAX_DIMENSION + 1, 10**6)),
     ("descent", "p"): SMALL_FIELD_VALUES,
     ("descent", "homotopy"): SMALL_FIELD_VALUES,
     ("descent", "depth"): SMALL_FIELD_VALUES,
@@ -496,7 +543,8 @@ BAD_ELEMENTS = st.sampled_from(
 @st.composite
 def mutated_inputs(draw):
     """r2 or r3, plus an explicit generator, with one generator spec, one
-    verify/descent field, or the --tuple of eval-cocycle changed."""
+    verify/descent field or the dimension, or the --tuple of eval-cocycle
+    changed."""
     name, n = draw(st.sampled_from([("r2_area", 2), ("r3_volume", 3)]))
     data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
     data["group"]["generators"].append(explicit_shear(n))
@@ -512,7 +560,7 @@ def mutated_inputs(draw):
             spec[key] = draw(SPEC_VALUES)
     elif target == "field":
         section, key = draw(st.sampled_from(sorted(FIELDS)))
-        data[section][key] = draw(FIELDS[section, key])
+        (data[section] if section else data)[key] = draw(FIELDS[section, key])
     if target == "tuple" or draw(st.booleans()):
         count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
         exprs = draw(st.lists(group_element(labels, n), min_size=count, max_size=count))

@@ -10,6 +10,7 @@ from cocycle_forge.diffeo import PolyDiffeo
 from cocycle_forge.errors import InvarianceError, ScenarioError
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.scenario import (
+    MAX_DIMENSION,
     MAX_EXPONENT,
     MAX_WORD_LENGTH,
     load_scenario,
@@ -60,15 +61,15 @@ class TestShippedScenarios:
     def test_loads_and_builds(self, name):
         config = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
         state = config.build_state()
-        assert state.p == config.descent_p
-        assert config.cycle.dim == config.descent_form().degree - config.descent_p - 1
+        assert state.p == config.descent_form().degree - 1
+        assert config.cycle.dim == config.descent_form().degree - state.p - 1 == 0
 
     def test_area_scenario_contents(self):
         config = load_scenario(str(SCENARIO_DIR / "r2_area.json"))
         assert config.dimension == 2
         assert set(config.group.labels()) == {"T1", "T2", "rot90", "sigma"}
-        assert config.form_names == ("area",)
-        assert config.descent_p == 1
+        assert len(config.forms) == 1
+        assert config.build_state().p == 1
 
 
 class TestValidation:
@@ -165,14 +166,36 @@ class TestValidation:
         ):
             load_scenario(write_scenario(tmp_path, data))
 
+    def test_dimension_bound(self, tmp_path):
+        for n in (MAX_DIMENSION, MAX_DIMENSION + 1):
+            dx1 = {
+                "dim": n,
+                "degree": 1,
+                "components": [{"idx": [1], "poly": [{"exps": [0] * n, "coeff": "1"}]}],
+            }
+            data = minimal_scenario(
+                dimension=n,
+                forms=[{"name": "dx1", "form": dx1}],
+                group={"generators": [{"type": "translation", "vector": ["1"] * n}]},
+                cycle={"dim": 0, "simplices": [{"coeff": "1", "verts": [["0"] * n]}]},
+                descent={},
+            )
+            if n == MAX_DIMENSION:
+                assert load_scenario(write_scenario(tmp_path, data)).dimension == n
+            else:
+                with pytest.raises(ScenarioError) as info:
+                    load_scenario(write_scenario(tmp_path, data))
+                assert str(info.value) == f"dimension must be an integer in 1..{n - 1}, got {n}"
+
     def test_descent_p_defaults_to_top_level(self, tmp_path):
         data = minimal_scenario()
         del data["descent"]
         config = load_scenario(write_scenario(tmp_path, data))
-        assert config.descent_p == 1  # degree 2 form
+        assert config.build_state().p == 1  # degree 2 form
 
     def test_cycle_dimension_must_match_descent(self, tmp_path):
-        # a closed triangle loop, but p = 1 on a 2-form needs a 0-cycle
+        # p = 1 on a 2-form needs a 0-cycle: a closed triangle loop is
+        # refused, and so is a lone segment, which is not even a cycle
         corners = [["0", "0"], ["1", "0"], ["0", "1"]]
         loop = {
             "dim": 1,
@@ -180,24 +203,25 @@ class TestValidation:
                 {"coeff": "1", "verts": [corners[k], corners[(k + 1) % 3]]} for k in range(3)
             ],
         }
-        data = minimal_scenario(cycle=loop)
-        with pytest.raises(ScenarioError) as info:
-            load_scenario(write_scenario(tmp_path, data))
-        assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
-
-    def test_cycle_must_have_zero_boundary(self, tmp_path):
-        # p = 0 on a 2-form asks for a 1-cycle; a lone segment is not one
-        segment = {"dim": 1, "simplices": [{"coeff": "1", "verts": [["0", "0"], ["1", "0"]]}]}
-        data = minimal_scenario(cycle=segment, descent={"p": 0})
-        with pytest.raises(ScenarioError) as info:
-            load_scenario(write_scenario(tmp_path, data))
-        assert str(info.value) == "cycle has nonzero boundary"
+        segment = {"dim": 1, "simplices": [{"coeff": "1", "verts": corners[:2]}]}
+        for cycle in (loop, segment):
+            data = minimal_scenario(cycle=cycle)
+            with pytest.raises(ScenarioError) as info:
+                load_scenario(write_scenario(tmp_path, data))
+            assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
 
     def test_descent_p_above_top_level(self, tmp_path):
-        data = minimal_scenario()
-        data["descent"]["p"] = 5
-        with pytest.raises(ScenarioError, match=r"descent p must be in 0\.\.1"):
-            load_scenario(write_scenario(tmp_path, data))
+        # the descent runs to p = m - 1 only, and true is not the integer 1
+        for p, message in [
+            (5, "descent p must be m - 1 = 1 for a degree-2 form, got 5"),
+            (0, "descent p must be m - 1 = 1 for a degree-2 form, got 0"),
+            (True, "p must be an integer, got True"),
+        ]:
+            data = minimal_scenario()
+            data["descent"]["p"] = p
+            with pytest.raises(ScenarioError) as info:
+                load_scenario(write_scenario(tmp_path, data))
+            assert str(info.value) == message
 
 
     def test_zero_form_cannot_drive_descent(self, tmp_path):

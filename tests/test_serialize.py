@@ -86,10 +86,13 @@ class TestPolynomialJson:
         top = polynomial_from_json([{"exps": [0, MAX_POLY_EXPONENT], "coeff": "1"}], 2)
         assert top.degree() == MAX_POLY_EXPONENT
         over = [{"exps": [0, MAX_POLY_EXPONENT + 1], "coeff": "1"}]
+        # the cap is on total degree, so spreading it over variables does not help
+        with pytest.raises(ScenarioError, match="total degree"):
+            polynomial_from_json([{"exps": [32, 33], "coeff": "1"}], 2)
         with pytest.raises(ScenarioError) as info:
             polynomial_from_json(over, 2)
         assert str(info.value) == (
-            f"exponent vector [0, {MAX_POLY_EXPONENT + 1}] has an exponent "
+            f"exponent vector [0, {MAX_POLY_EXPONENT + 1}] has total degree "
             f"above {MAX_POLY_EXPONENT}"
         )
 

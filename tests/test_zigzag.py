@@ -6,7 +6,6 @@ package.
 """
 
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,6 @@ from cocycle_forge.diffeo import GroupPresentation, PolyDiffeo
 from cocycle_forge.errors import (
     DimensionMismatchError,
     InvarianceError,
-    NotACycleError,
     NotClosedError,
 )
 from cocycle_forge.forms import PolyForm, ext_d, poincare_h
@@ -50,7 +48,7 @@ def area_state():
         PolyDiffeo.shear(2, 0, Polynomial(2, {(0, 2): Fraction(1)}), "sigma"),
     ]
     group = GroupPresentation(gens, [PolyForm.volume(2)])
-    return build_phi_sequence(PolyForm.volume(2), 1, group)
+    return build_phi_sequence(PolyForm.volume(2), group)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +60,7 @@ def volume_state():
         PolyDiffeo.shear(3, 0, Polynomial(3, {(0, 1, 1): Fraction(1)}), "s23"),
     ]
     group = GroupPresentation(gens, [PolyForm.volume(3)])
-    return build_phi_sequence(PolyForm.volume(3), 2, group)
+    return build_phi_sequence(PolyForm.volume(3), group)
 
 
 ORIGIN2 = Chain.point([0, 0])
@@ -96,30 +94,27 @@ class TestBuild:
         w = PolyForm.dx(2, 1) * x  # d(x dy) = dx^dy != 0
         group = GroupPresentation([PolyDiffeo.identity(2)])
         with pytest.raises(NotClosedError):
-            build_phi_sequence(w, 0, group)
+            build_phi_sequence(w, group)
 
     def test_rejects_zero_form(self):
         group = GroupPresentation([PolyDiffeo.identity(2)])
         with pytest.raises(ValueError):
-            build_phi_sequence(PolyForm.zero(2, 2), 1, group)
+            build_phi_sequence(PolyForm.zero(2, 2), group)
 
     def test_rejects_non_invariant_generator(self):
         double = PolyDiffeo.linear([[2, 0], [0, 1]], "double")
         group = GroupPresentation([double])
         with pytest.raises(InvarianceError):
-            build_phi_sequence(PolyForm.volume(2), 1, group)
+            build_phi_sequence(PolyForm.volume(2), group)
 
-    def test_depth_range(self):
+    def test_depth_range(self, area_state, volume_state):
+        # the descent runs to p = m - 1, so a degree-0 form has no level to reach
         group = GroupPresentation([PolyDiffeo.translation([1, 0], "T1")])
-        with pytest.raises(ValueError):
-            build_phi_sequence(PolyForm.volume(2), 2, group)
-        with pytest.raises(ValueError):
-            build_phi_sequence(PolyForm.volume(2), -1, group)
-
-    def test_shallow_depth_warns(self):
-        group = GroupPresentation([PolyDiffeo.translation([1, 0], "T1")])
-        with pytest.warns(UserWarning):
-            build_phi_sequence(PolyForm.volume(2), 0, group)
+        with pytest.raises(ValueError, match="degree at least 1"):
+            build_phi_sequence(PolyForm.constant_function(2, 1), group)
+        for state in (area_state, volume_state):
+            assert state.p == state.m - 1
+            assert len(state.phis) == len(state.dprimes) == state.m
 
 
 class TestCocycleValues:
@@ -205,36 +200,9 @@ class TestCycleChecks:
         with pytest.raises(DimensionMismatchError):
             cocycle_eval(area_state, ORIGIN3, [PolyDiffeo.identity(2)] * 2)
 
-    def test_alpha_must_be_cycle(self, volume_state):
-        open_chain = Chain.segment([0, 0, 0], [1, 0, 0]) - Chain.segment(
-            [0, 0, 0], [0, 1, 0]
-        ) * 2
-        assert open_chain.dim == 1  # matches m-p-1 for a shallow depth
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shallow = build_phi_sequence(
-                PolyForm.volume(3), 1, volume_state.group
-            )
-            with pytest.raises(NotACycleError):
-                cocycle_eval(shallow, open_chain, [PolyDiffeo.identity(3)] * 2)
-
     def test_tuple_length_enforced(self, area_state):
         with pytest.raises(ValueError):
             cocycle_eval(area_state, ORIGIN2, [PolyDiffeo.identity(2)])
-
-    def test_positive_dimensional_cycle_warning_names_the_caller(self, volume_state):
-        loop = Chain.triangle_loop([0, 0, 0], [1, 0, 0], [0, 1, 0])
-        with pytest.warns(UserWarning, match="depth 1"):
-            shallow = build_phi_sequence(PolyForm.volume(3), 1, volume_state.group)
-        pair = [PolyDiffeo.identity(3)] * 2
-        for entry in (
-            lambda: cocycle_eval(shallow, loop, pair),
-            lambda: cocycle(shallow, loop),
-            lambda: b_cochain(shallow, loop),
-        ):
-            with pytest.warns(UserWarning, match="vanishes identically") as caught:
-                entry()
-            assert [w.filename for w in caught] == [__file__]
 
 
 def cocycle_condition(state, samples, seed, max_word_length):
@@ -266,7 +234,7 @@ class TestCocycleCondition:
         bump = PolyForm.from_polynomial(Polynomial(2, {(0, 2): Fraction(1)}))
         good_phi1 = state.phi(1)
         bad_phi1 = Cochain(1, 0, 2, lambda g: good_phi1(g) + bump)
-        return ZigzagState(state.omega, 1, state.group, [state.phi(0), bad_phi1])
+        return ZigzagState(state.omega, state.group, [state.phi(0), bad_phi1])
 
     def test_corrupted_level_is_detected(self, area_state):
         # the verifier must notice the corruption
@@ -381,11 +349,11 @@ class TestTriviality:
         assert report["max_abs_residual"] == 0
 
 
-def require_cycle_calls(monkeypatch, run) -> int:
+def check_alpha_calls(monkeypatch, run) -> int:
     """How many cycles ``run()`` checks through the zigzag module."""
     calls = []
-    check = zigzag.require_cycle
-    monkeypatch.setattr(zigzag, "require_cycle", lambda *args: calls.append(args) or check(*args))
+    check = zigzag._check_alpha
+    monkeypatch.setattr(zigzag, "_check_alpha", lambda *args: calls.append(args) or check(*args))
     run()
     monkeypatch.undo()
     return len(calls)
@@ -396,7 +364,7 @@ class TestCochainsBuiltOnce:
 
     def test_triviality(self, area_state, monkeypatch):
         counts = [
-            require_cycle_calls(
+            check_alpha_calls(
                 monkeypatch, lambda: triviality_suite(area_state, ORIGIN2, n, 5, 2)
             )
             for n in (1, 8)
@@ -408,5 +376,5 @@ class TestCochainsBuiltOnce:
             cocycle_identity_suite(area_state, ORIGIN2, n, 5, 2)
             point_independence_suite(area_state, n, 5, 2)
 
-        counts = [require_cycle_calls(monkeypatch, lambda: run(n)) for n in (1, 8)]
+        counts = [check_alpha_calls(monkeypatch, lambda: run(n)) for n in (1, 8)]
         assert counts[0] == counts[1]

@@ -194,8 +194,7 @@ class TestValidation:
         assert config.build_state().p == 1  # degree 2 form
 
     def test_cycle_dimension_must_match_descent(self, tmp_path):
-        # p = 1 on a 2-form needs a 0-cycle: a closed triangle loop is
-        # refused, and so is a lone segment, which is not even a cycle
+        # a closed triangle loop, but p = 1 on a 2-form needs a 0-cycle
         corners = [["0", "0"], ["1", "0"], ["0", "1"]]
         loop = {
             "dim": 1,
@@ -203,12 +202,19 @@ class TestValidation:
                 {"coeff": "1", "verts": [corners[k], corners[(k + 1) % 3]]} for k in range(3)
             ],
         }
-        segment = {"dim": 1, "simplices": [{"coeff": "1", "verts": corners[:2]}]}
-        for cycle in (loop, segment):
-            data = minimal_scenario(cycle=cycle)
-            with pytest.raises(ScenarioError) as info:
-                load_scenario(write_scenario(tmp_path, data))
-            assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
+        data = minimal_scenario(cycle=loop)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write_scenario(tmp_path, data))
+        assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
+
+    def test_cycle_must_have_zero_boundary(self, tmp_path):
+        # a lone segment is not a cycle; every accepted cycle is a 0-chain,
+        # so the open segment is refused by its dimension
+        segment = {"dim": 1, "simplices": [{"coeff": "1", "verts": [["0", "0"], ["1", "0"]]}]}
+        data = minimal_scenario(cycle=segment)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write_scenario(tmp_path, data))
+        assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
 
     def test_descent_p_above_top_level(self, tmp_path):
         # the descent runs to p = m - 1 only, and true is not the integer 1

@@ -326,6 +326,11 @@ def integrate(form: PolyForm, chain: Chain) -> Fraction:
     """
     _check_match(form, chain)
     total = Fraction(0)
+    if chain.dim == 0:
+        f = form.coefficient(())
+        for simplex, coeff in chain.terms.items():
+            total += coeff * f.evaluate(simplex.vertices[0])
+        return total
     for simplex, coeff in chain.terms.items():
         total += coeff * _simplex_integral(form, simplex, translated=False).constant_term()
     return total

@@ -420,7 +420,7 @@ def cocycle_identity_suite(
             )
         )
 
-    dc = delta_prime(cocycle(state, alpha), state.group.degree_cap)
+    dc = state.delta_prime(cocycle(state, alpha))
     tuples = _sample_tuples(state.group, samples, state.p + 2, max_word_length, seed, None)
     checks.append(
         _sweep("cocycle_condition", samples, lambda k: dc(*tuples[k]), rational=True)
@@ -544,7 +544,7 @@ def sample_stabilizer_linears(
             g = _transvection(rng, radial).compose(_transvection(rng, radial))
         else:
             g = PolyDiffeo.identity(dim)
-        g = PolyDiffeo(g.forward, g.inverse, "L", _trusted=True)
+        g = g.relabeled("L")
         if not g.preserves(omega):
             raise ScenarioError(
                 "internal sampling error: constructed linear map fails invariance"
@@ -602,7 +602,7 @@ def triviality_suite(
 
     c = cocycle(state, alpha)
     b = b_cochain(state, alpha)
-    db = delta_prime(b, state.group.degree_cap)
+    db = state.delta_prime(b)
     b_values = []
 
     def on_stabilizer(k):

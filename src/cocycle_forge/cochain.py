@@ -111,19 +111,34 @@ class Cochain:
         return f"Cochain(p={self.p}, q={self.q}, dim={self.dim})"
 
 
-def delta_prime(c: Cochain, degree_cap: int = DEFAULT_DEGREE_CAP) -> Cochain:
+def delta_prime(
+    c: Cochain,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+    products: dict[tuple[PolyDiffeo, PolyDiffeo], PolyDiffeo] | None = None,
+) -> Cochain:
     """The nonhomogeneous group differential, on either value module.
 
     Raises the group degree by one.  The last term acts through the
     right module structure: pullback along the final element on forms,
     trivially on reals.  ``degree_cap`` bounds each merged product.
+
+    Each merged product g_i g_{i+1} is formed once and kept in
+    ``products``, keyed by the pair; a refused product raises and is
+    not kept.  Differentials that share one table, under one cap, form
+    each product once between them (``ZigzagState`` shares its table
+    across its levels); by default the table is this cochain's own.
     """
     p = c.p
+    if products is None:
+        products = {}
 
     def evaluator(*gs: PolyDiffeo):
         total = c(*gs[1:])
         for i in range(1, p + 1):
-            merged = gs[i - 1].compose(gs[i], degree_cap=degree_cap)
+            pair = gs[i - 1 : i + 1]
+            merged = products.get(pair)
+            if merged is None:
+                merged = products[pair] = pair[0].compose(pair[1], degree_cap=degree_cap)
             value = c(*gs[: i - 1], merged, *gs[i + 1 :])
             total = total - value if i % 2 else total + value
         last = c(*gs[:-1])

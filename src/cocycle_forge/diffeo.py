@@ -1,15 +1,24 @@
-"""Polynomial diffeomorphisms of R^n carried with explicit inverses.
+"""Polynomial diffeomorphisms of R^n and the groups they generate.
 
-A ``PolyDiffeo`` stores both directions of a polynomial bijection and
-checks at construction that they really compose to the identity, so
-invertibility never has to be decided later.  Groups of such maps are
-described by a ``GroupPresentation``: a list of labelled generators,
-each of which is required to preserve every distinguished form.
+A ``PolyDiffeo`` is a polynomial bijection whose inverse is again
+polynomial.  Maps built from both directions (generators, ``identity``,
+``translation``, ``linear``, ``shear`` and explicit maps) carry their
+inverse explicitly, and an untrusted pair is checked at construction to
+compose to the identity both ways, so invertibility never has to be
+decided later.  A composite built by ``compose`` stores its forward map
+and its two factors; its inverse is composed from theirs on first read,
+which most composites never see.  Groups of such maps are described by
+a ``GroupPresentation``: a list of labelled generators, each of which
+is required to preserve every distinguished form.
 
 Composition can blow up polynomial degree exponentially (a shear of
 degree d composed with itself k times reaches degree d^k), so every
 composition is guarded by a degree cap that raises
-``DegreeCapExceededError`` instead of silently grinding.
+``DegreeCapExceededError`` instead of silently grinding.  The cap is
+checked against deg(g)·deg(h), the forward degrees.  In dimension 2
+deg F^-1 = deg F, so the inverse obeys the same bound; in dimension
+n >= 3 deg F^-1 can reach (deg F)^(n-1), and reading a composite's
+inverse checks the cap again on the inverses' degrees.
 """
 
 from __future__ import annotations
@@ -38,15 +47,23 @@ def _check_components(comps: Sequence[Polynomial], dim: int, what: str):
             )
 
 
+def _map_degree(comps: Sequence[Polynomial]) -> int:
+    return max(c.degree() for c in comps)
+
+
 class PolyDiffeo:
     """A polynomial bijection of R^n together with its polynomial inverse.
 
     Equality and hashing look only at the forward components, so two
     routes to the same map (for instance ``g.compose(g.inverted())`` and
     ``identity``) compare equal regardless of labels.
+
+    Two things are filled on first use and kept: the inverse of a
+    composite, and the rows of the Jacobian that ``pullback_form``
+    differentiates, one row per axis.
     """
 
-    __slots__ = ("dim", "forward", "inverse", "label", "_degree", "_hash")
+    __slots__ = ("dim", "forward", "_inverse", "_factors", "label", "_degree", "_hash", "_rows")
 
     def __init__(
         self,
@@ -69,12 +86,19 @@ class PolyDiffeo:
                 raise ValueError(f"forward o inverse is not the identity ({label or 'unlabelled'})")
             if tuple(f.compose(fwd) for f in inv) != ident:
                 raise ValueError(f"inverse o forward is not the identity ({label or 'unlabelled'})")
+        self._fill(dim, fwd, inv, None, str(label))
+
+    def _fill(self, dim: int, forward: tuple, inverse, factors, label: str):
+        # ``inverse`` is None exactly when ``factors`` holds the (outer,
+        # inner, cap) of a composite whose inverse has not been read yet
         _set_dim(self, dim)
-        _set_forward(self, fwd)
-        _set_inverse(self, inv)
-        _set_label(self, str(label))
-        _set_degree(self, max(c.degree() for c in fwd + inv))
+        _set_forward(self, forward)
+        _set_inverse(self, inverse)
+        _set_factors(self, factors)
+        _set_label(self, label)
+        _set_degree(self, _map_degree(forward))
         _set_hash(self, None)
+        _set_rows(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyDiffeo is immutable")
@@ -139,10 +163,24 @@ class PolyDiffeo:
         inv = (*xs[:axis], xs[axis] - poly, *xs[axis + 1 :])
         return cls(fwd, inv, label or f"shear{axis + 1}", _trusted=True)
 
+    def relabeled(self, label: str) -> PolyDiffeo:
+        """The same map under another label; a pending inverse stays pending."""
+        out = object.__new__(PolyDiffeo)
+        out._fill(self.dim, self.forward, self._inverse, self._factors, str(label))
+        return out
+
     # -- queries -----------------------------------------------------------
 
+    @property
+    def inverse(self) -> tuple[Polynomial, ...]:
+        """The inverse map's components; a composite builds them on first read."""
+        if self._inverse is None:
+            _fill_inverses(self)
+        return self._inverse
+
     def degree(self) -> int:
-        """The larger of the forward and the inverse map's degrees."""
+        """The degree of the forward map: the largest total degree of its
+        components.  The degree cap reads this and nothing else."""
         return self._degree
 
     def is_identity(self) -> bool:
@@ -154,10 +192,6 @@ class PolyDiffeo:
         pt = as_point(point, self.dim)
         return tuple(c.evaluate(pt) for c in self.forward)
 
-    def apply_inverse(self, point: Sequence) -> tuple:
-        pt = as_point(point, self.dim)
-        return tuple(c.evaluate(pt) for c in self.inverse)
-
     # -- group structure ---------------------------------------------------
 
     def compose(self, other: PolyDiffeo, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> PolyDiffeo:
@@ -168,17 +202,20 @@ class PolyDiffeo:
         any expansion happens — so a runaway word is refused instead of
         computed.  Cancellation below the bound (as in g composed with
         its own inverse) is therefore not credited; raise the cap if a
-        legitimately tame word is refused.
+        legitimately tame word is refused.  Only the forward map is
+        expanded here; the inverse waits for its first read, under the
+        same cap.
         """
         if self.dim != other.dim:
             raise DimensionMismatchError("composing maps of different dimensions")
-        bound = self.degree() * other.degree()
+        bound = self._degree * other._degree
         label = f"{self.label}*{other.label}" if self.label and other.label else ""
         if bound > degree_cap:
             raise DegreeCapExceededError(label or "composite", bound, degree_cap)
         fwd = tuple(c.compose(other.forward) for c in self.forward)
-        inv = tuple(c.compose(self.inverse) for c in other.inverse)
-        return PolyDiffeo(fwd, inv, label, _trusted=True)
+        out = object.__new__(PolyDiffeo)
+        out._fill(self.dim, fwd, None, (self, other, degree_cap), label)
+        return out
 
     def inverted(self) -> PolyDiffeo:
         label = f"{self.label}^-1" if self.label else ""
@@ -188,7 +225,11 @@ class PolyDiffeo:
         """g^* alpha, the pullback of a form along this map."""
         if alpha.dim != self.dim:
             raise DimensionMismatchError("pulling back a form from the wrong space")
-        return pullback(self.forward, alpha)
+        rows = self._rows
+        if rows is None:
+            rows = {}
+            _set_rows(self, rows)
+        return pullback(self.forward, alpha, rows)
 
     def preserves(self, alpha: PolyForm) -> bool:
         return self.pullback_form(alpha) == alpha
@@ -213,9 +254,46 @@ class PolyDiffeo:
 
 # The slot descriptors' setters, bound once: the constructors fill the
 # slots through them because ``__setattr__`` refuses every assignment.
-_set_dim, _set_forward, _set_inverse, _set_label, _set_degree, _set_hash = (
-    PolyDiffeo.__dict__[name].__set__ for name in PolyDiffeo.__slots__
-)
+(
+    _set_dim,
+    _set_forward,
+    _set_inverse,
+    _set_factors,
+    _set_label,
+    _set_degree,
+    _set_hash,
+    _set_rows,
+) = (PolyDiffeo.__dict__[name].__set__ for name in PolyDiffeo.__slots__)
+
+
+def _fill_inverses(top: PolyDiffeo):
+    """Build the inverse of the composite ``top``, and first those of the
+    composites it was built from that still lack one, innermost first and
+    without recursion.
+
+    The inverse of outer·inner is inner^-1·outer^-1.  It is refused under
+    the cap the composite was built with when deg(inner^-1)·deg(outer^-1)
+    exceeds it, which can happen in dimension >= 3 only.
+    """
+    stack = [top]
+    while stack:
+        g = stack[-1]
+        if g._inverse is not None:
+            stack.pop()
+            continue
+        outer, inner, cap = g._factors
+        pending = [f for f in (outer, inner) if f._inverse is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        bound = _map_degree(inner._inverse) * _map_degree(outer._inverse)
+        if bound > cap:
+            raise DegreeCapExceededError(
+                f"{g.label}^-1" if g.label else "composite inverse", bound, cap
+            )
+        _set_inverse(g, tuple(c.compose(outer._inverse) for c in inner._inverse))
+        _set_factors(g, None)
 
 
 class GroupPresentation:

@@ -62,13 +62,17 @@ class ZigzagState:
     ``phis[i]`` is an i-cochain valued in forms of degree m-i-1 and
     ``dprimes[i]`` is d'phi_i, one cochain (and one memo table) per
     level, shared by every downstream evaluation.  ``dprimes`` may hand
-    in a prefix d'phi_0, d'phi_1, ... already built over these phis;
-    the rest are built here.  Direct construction is allowed (the test
-    suite uses it to corrupt a level on purpose); ``build_phi_sequence``
-    is the checked factory.
+    in a prefix d'phi_0, d'phi_1, ... already built over these phis,
+    merging through the table ``products``; the rest are built here.
+    ``products`` holds each product g h that a d' over this state has
+    formed, keyed by the pair (g, h): every level and every cochain
+    built by ``delta_prime`` below shares it, so a product is formed
+    once and is one object, whose Jacobian rows are then filled once.
+    Direct construction is allowed (the test suite uses it to corrupt a
+    level on purpose); ``build_phi_sequence`` is the checked factory.
     """
 
-    __slots__ = ("omega", "p", "group", "phis", "dprimes")
+    __slots__ = ("omega", "p", "group", "phis", "dprimes", "products")
 
     def __init__(
         self,
@@ -76,6 +80,7 @@ class ZigzagState:
         group: GroupPresentation,
         phis: Sequence[Cochain],
         dprimes: Sequence[Cochain] = (),
+        products: dict | None = None,
     ):
         self.omega = omega
         self.p = p = omega.degree - 1
@@ -83,9 +88,14 @@ class ZigzagState:
         self.phis = tuple(phis)
         if len(self.phis) != p + 1:
             raise ValueError(f"descent to depth {p} needs {p + 1} cochains")
+        self.products = {} if products is None else products
         self.dprimes = tuple(dprimes) + tuple(
-            delta_prime(phi, group.degree_cap) for phi in self.phis[len(dprimes) :]
+            self.delta_prime(phi) for phi in self.phis[len(dprimes) :]
         )
+
+    def delta_prime(self, c: Cochain) -> Cochain:
+        """d'c under the group's degree cap, merging through ``products``."""
+        return delta_prime(c, self.group.degree_cap, self.products)
 
     @property
     def m(self) -> int:
@@ -128,12 +138,13 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
     phi0_value = -poincare_h(omega)
     phis = [Cochain(0, m - 1, omega.dim, lambda: phi0_value)]
     # Level i holds d'phi_{i-1} itself and the state is handed the same
-    # cochains, so each level has one memo.  Reading it through the state
-    # instead would tie the state and its memos into a reference cycle,
-    # left for the cyclic garbage collector to free.
+    # cochains and product table, so each level has one memo.  Reading
+    # them through the state instead would tie the state and its memos
+    # into a reference cycle, left for the cyclic garbage collector to free.
     dprimes = []
+    products = {}
     for i in range(1, m):
-        dprimes.append(delta_prime(phis[i - 1], group.degree_cap))
+        dprimes.append(delta_prime(phis[i - 1], group.degree_cap, products))
 
         def evaluator(*gs, _dp=dprimes[-1], _i=i):
             rhs = _dp(*gs)
@@ -147,7 +158,7 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
             return poincare_h(rhs)
 
         phis.append(Cochain(i, m - i - 1, omega.dim, evaluator))
-    return ZigzagState(omega, group, phis, dprimes)
+    return ZigzagState(omega, group, phis, dprimes, products)
 
 
 def _check_alpha(state: ZigzagState, alpha: Chain):

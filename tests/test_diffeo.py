@@ -35,7 +35,7 @@ class TestConstructors:
     def test_translation_roundtrip(self):
         g = PolyDiffeo.translation(["1/2", -1])
         assert g.apply((0, 0)) == (Fraction(1, 2), -1)
-        assert g.apply_inverse(g.apply((3, 4))) == (3, 4)
+        assert g.inverted().apply(g.apply((3, 4))) == (3, 4)
         assert g.label == "T(1/2,-1)"
 
     def test_translation_reads_an_iterator_once(self):
@@ -59,7 +59,7 @@ class TestConstructors:
     def test_shear(self):
         sigma = area_shear()
         assert sigma.apply((0, 2)) == (4, 2)
-        assert sigma.apply_inverse((4, 2)) == (0, 2)
+        assert sigma.inverted().apply((4, 2)) == (0, 2)
 
     def test_shear_axis_restriction(self):
         # the shear polynomial may not involve the sheared coordinate
@@ -123,6 +123,52 @@ class TestComposition:
         for g in group.sample_words(20, 3, seed=17):
             for h in (g, g.inverted()):
                 assert h.degree() == max(c.degree() for c in h.forward + h.inverse)
+
+    @pytest.mark.parametrize("name", ["r1_line", "r2_area", "r3_volume", "r4_symplectic"])
+    def test_deferred_inverse_matches_eager_product(self, name):
+        # a word's inverse, read after the word was built, is the word in
+        # the inverted letters taken in reverse order, built forward
+        group = load_scenario(str(SCENARIO_DIR / f"{name}.json")).group
+        rng = random.Random(f"diffeo:inverse:{name}")
+        k = len(group.generators)
+        for _ in range(12):
+            letters = [rng.choice((1, -1)) * rng.randint(1, k) for _ in range(rng.randint(1, 3))]
+            word = group.word(letters)
+            eager = group.word([-letter for letter in reversed(letters)])
+            assert word.inverse == eager.forward
+            assert word.compose(word.inverted()).is_identity()
+            assert word.inverted().compose(word).is_identity()
+
+    def test_cap_reads_forward_degree(self):
+        # (x + y^2, y + z^2, z) has degree 2; its inverse
+        # (x - (y - z^2)^2, y - z^2, z) has degree 4
+        y_sq = Polynomial(3, {(0, 2, 0): Fraction(1)})
+        z_sq = Polynomial(3, {(0, 0, 2): Fraction(1)})
+        g = PolyDiffeo.shear(3, 1, z_sq).compose(PolyDiffeo.shear(3, 0, y_sq))
+        assert g.degree() == 2
+        assert max(c.degree() for c in g.inverse) == 4
+        assert g.inverted().degree() == 4
+        # forward bound 2 * 2 is admitted at cap 4 ...
+        h = g.compose(PolyDiffeo.shear(3, 2, y_sq), degree_cap=4)
+        assert h.degree() <= 4
+        # ... and reading its inverse is held to the same cap: 2 * 4 > 4
+        with pytest.raises(DegreeCapExceededError) as exc_info:
+            h.inverse
+        assert (exc_info.value.degree, exc_info.value.cap) == (8, 4)
+
+    def test_inverse_of_long_chain_needs_no_recursion(self):
+        t = PolyDiffeo.translation([1, 0])
+        word = PolyDiffeo.identity(2)
+        for _ in range(3000):
+            word = word.compose(t)
+        assert word.inverted().apply((3000, 5)) == (0, 5)
+
+    def test_relabeled_keeps_the_map(self):
+        sigma = area_shear()
+        word = sigma.compose(PolyDiffeo.translation([0, 1]))
+        copy = word.relabeled("L")
+        assert copy.label == "L" and copy == word and copy.degree() == word.degree()
+        assert copy.inverse == word.inverse
 
     def test_default_cap_allows_moderate_words(self):
         sigma = area_shear()

@@ -7,6 +7,7 @@ package.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -29,6 +30,7 @@ from cocycle_forge.errors import (
 )
 from cocycle_forge.forms import PolyForm, ext_d, poincare_h
 from cocycle_forge.polynomial import Polynomial
+from cocycle_forge.scenario import load_scenario
 from cocycle_forge.zigzag import (
     ZigzagState,
     b_cochain,
@@ -378,3 +380,31 @@ class TestCochainsBuiltOnce:
 
         counts = [check_alpha_calls(monkeypatch, lambda: run(n)) for n in (1, 8)]
         assert counts[0] == counts[1]
+
+
+class TestProductsFormedOnce:
+    """The descent levels and the cochains built over a state share one
+    table of products: each (g, h) is composed once per state."""
+
+    def test_cocycle_then_its_coboundary(self, monkeypatch):
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "r3_volume.json"
+        config = load_scenario(str(scenario))
+        state = config.build_state()
+        g1, g2, g3, g4 = state.group.sample_words(4, 3, seed=3)
+        pairs = []
+        compose = PolyDiffeo.compose
+
+        def counting(self, other, **kwargs):
+            pairs.append((self, other))
+            return compose(self, other, **kwargs)
+
+        monkeypatch.setattr(PolyDiffeo, "compose", counting)
+        c = cocycle(state, config.cycle)
+        c(g1, g2, g3)
+        state.delta_prime(c)(g1, g2, g3, g4)
+        assert pairs
+        assert len(pairs) == len(set(pairs))
+        # a differential with a table of its own forms g1 g2 again
+        pairs.clear()
+        delta_prime(c, state.group.degree_cap)(g1, g2, g3, g4)
+        assert (g1, g2) in pairs

@@ -33,7 +33,6 @@ from .errors import (
     DegreeCapExceededError,
     DimensionMismatchError,
     InvarianceError,
-    NonAffineImageError,
     NotACycleError,
     NotClosedError,
     ScenarioError,
@@ -73,7 +72,6 @@ __all__ = [
     "F_gamma",
     "GroupPresentation",
     "InvarianceError",
-    "NonAffineImageError",
     "NotACycleError",
     "NotClosedError",
     "PolyDiffeo",

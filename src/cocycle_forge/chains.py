@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import DimensionMismatchError, NonAffineImageError, NotACycleError
+from .errors import DimensionMismatchError, NotACycleError
 from .forms import PolyForm
 from .polynomial import Polynomial, as_fraction, as_point, det
 
@@ -84,9 +84,6 @@ class AffineSimplex:
         return AffineSimplex(
             tuple(tuple(x + d for x, d in zip(v, vec)) for v in self.vertices)
         )
-
-    def map_vertices(self, fn: Callable[[tuple], Sequence]) -> AffineSimplex:
-        return AffineSimplex(tuple(tuple(as_fraction(x) for x in fn(v)) for v in self.vertices))
 
     def edges(self) -> tuple[tuple[Fraction, ...], ...]:
         """The edge vectors v_j - v_0 for j = 1..q."""
@@ -351,22 +348,20 @@ def integrate_translated(form: PolyForm, chain: Chain) -> Polynomial:
 
 
 def pushforward(diffeo, chain: Chain) -> Chain:
-    """The image chain under a diffeomorphism.
+    """The image of a 0-chain of points under a polynomial diffeomorphism.
 
-    Exact for 0-chains under any polynomial map (points map to points)
-    and for chains of any dimension under affine maps, which carry
-    affine simplices to affine simplices.  Nonlinear images of positive-
-    dimensional simplices are not affine, so that case is refused.
+    Each point maps to its image and keeps its weight.  Every cycle the
+    descent pairs with is a 0-chain, so a chain of positive dimension is
+    refused.
     """
     if diffeo.dim != chain.ambient:
         raise DimensionMismatchError("map and chain live in different spaces")
-    if chain.dim > 0 and diffeo.degree() > 1:
-        raise NonAffineImageError(
-            f"image of a positive-dimensional affine chain under the nonlinear "
-            f"map {diffeo.label or diffeo!r} is not an affine chain"
+    if chain.dim:
+        raise DimensionMismatchError(
+            f"pushforward takes a 0-chain of points, got a {chain.dim}-chain"
         )
     return Chain(
-        chain.dim,
+        0,
         chain.ambient,
-        {s.map_vertices(diffeo.apply): c for s, c in chain.terms.items()},
+        {AffineSimplex([diffeo.apply(s.vertices[0])]): c for s, c in chain.terms.items()},
     )

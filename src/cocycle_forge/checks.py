@@ -360,7 +360,7 @@ def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
 
 def _base_residual(state: ZigzagState) -> PolyForm:
     """omega + d phi_0, which is zero when phi_0 is the base primitive."""
-    return state.omega + ext_d(state.phi(0)())
+    return state.omega + ext_d(state.phis[0]())
 
 
 def build_suite(state: ZigzagState) -> list[dict]:
@@ -370,13 +370,13 @@ def build_suite(state: ZigzagState) -> list[dict]:
     g = state.group.generators[0]
     ladder = [{"level": i, "group_degree": i, "form_degree": m - i - 1} for i in range(p + 1)]
     values = [
-        {"level": i, "tuple": [g.label] * i, "value": form_to_json(state.phi(i)(*[g] * i))}
+        {"level": i, "tuple": [g.label] * i, "value": form_to_json(state.phis[i](*[g] * i))}
         for i in range(1, p + 1)
     ]
     return [
         _sweep(
             "descent_build", 1, lambda _: _base_residual(state), form_degree=m, depth=p,
-            ladder=ladder, phi0=form_to_json(state.phi(0)()), sample_values=values,
+            ladder=ladder, phi0=form_to_json(state.phis[0]()), sample_values=values,
         )
     ]
 
@@ -623,7 +623,7 @@ def triviality_suite(
     ]
 
     mixed = _sample_tuples(state.group, samples, width, max_word_length, seed, "mixed")
-    phi_p = state.phi(p)
+    phi_p = state.phis[p]
     sign = (-1) ** width  # (-1)^{p+1}
 
     def comparison(k):

@@ -42,11 +42,6 @@ class NotACycleError(CocycleForgeError, ValueError):
     """A chain used where a cycle (zero boundary) is required."""
 
 
-class NonAffineImageError(CocycleForgeError, ValueError):
-    """A nonlinear map was asked for the image of a positive-dimensional
-    affine chain, which is not an affine chain."""
-
-
 class InvarianceError(CocycleForgeError, ValueError):
     """A group element fails to preserve a form it is required to fix."""
 

@@ -8,7 +8,6 @@ A scenario is a JSON object:
       "forms": [ {"name": "area", "form": {...}} ],   // first form drives the descent
       "group": { "generators": [ ... ] },
       "cycle": { "dim": 0, "simplices": [ ... ] },
-      "descent": { "p": 1, "homotopy": "poincare-origin" },   // optional
       "verify": { "samples": 100, "max_word_length": 3, "seed": 7, "degree_cap": 64 }
     }
 
@@ -27,9 +26,10 @@ polynomials, checked to be inverse to each other:
 Every object, at every level, refuses keys it does not know.
 Loading verifies symbolically that every generator preserves every
 declared form and names the offending pair when one does not.  The
-descent always runs to the top level p = m - 1 for a degree-m form, so
-``descent.p``, when given, must be m - 1, and the cycle must be a
-0-chain of points (which is always a cycle).
+descent always runs to the top level p = m - 1 for a degree-m form and
+cannot be set.  The cycle must be a 0-chain of points (which is always
+a cycle) whose weights do not sum to 0: the cocycle is that sum times
+its value at one point.
 
 Group elements on the command line are written in a tiny expression
 language over the generator labels: ``sigma``, ``T(1,0)``,
@@ -186,7 +186,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     _require(isinstance(data, dict), "scenario must be a JSON object")
     refuse_unknown_keys(
         data,
-        ("name", "description", "dimension", "forms", "group", "cycle", "descent", "verify"),
+        ("name", "description", "dimension", "forms", "group", "cycle", "verify"),
         "scenario",
     )
 
@@ -261,9 +261,6 @@ def load_scenario(path: str) -> ScenarioConfig:
     _require(cycle_data is not None, "scenario needs a cycle")
     cycle = chain_from_json(cycle_data, ambient=dimension)
 
-    descent = data.get("descent", {})
-    _require(isinstance(descent, dict), "descent must be an object")
-    refuse_unknown_keys(descent, ("p", "homotopy"), "descent")
     descent_name, descent_form = named_forms[0]
     _require(
         not descent_form.is_zero(),
@@ -271,16 +268,11 @@ def load_scenario(path: str) -> ScenarioConfig:
     )
     m = descent_form.degree
     _require(m >= 1, f"form {descent_name!r} has degree 0 and cannot drive the descent")
-    if "p" in descent:
-        p = json_int(descent["p"], "p")
-        _require(p == m - 1, f"descent p must be m - 1 = {m - 1} for a degree-{m} form, got {p}")
-    homotopy = descent.get("homotopy", "poincare-origin")
+    _require(cycle.dim == 0, f"the cycle must be a 0-chain of points, got a {cycle.dim}-chain")
     _require(
-        homotopy == "poincare-origin",
-        f"unsupported homotopy {homotopy!r}; only poincare-origin is implemented",
+        sum(cycle.terms.values()) != 0,
+        "the cycle's weights sum to 0, so the cocycle would vanish identically",
     )
-
-    _require(cycle.dim == 0, f"cycle dimension {cycle.dim} does not match m-p-1 = 0")
 
     name = data.get("name", "")
     _require(isinstance(name, str), "scenario name must be a string")

@@ -101,9 +101,6 @@ class ZigzagState:
     def m(self) -> int:
         return self.omega.degree
 
-    def phi(self, i: int) -> Cochain:
-        return self.phis[i]
-
     def descent_residual(self, i: int, gs: Sequence[PolyDiffeo]) -> PolyForm:
         """(d'phi_{i-1} + d''phi_i)(g_1..g_i); zero on a sound descent."""
         if not 1 <= i <= self.p:
@@ -166,7 +163,9 @@ def _check_alpha(state: ZigzagState, alpha: Chain):
         raise DimensionMismatchError("cycle and form live in different spaces")
     # a 0-chain is a cycle, so only its dimension needs checking
     if alpha.dim != 0:
-        raise DimensionMismatchError(f"cycle dimension {alpha.dim} does not match m-p-1 = 0")
+        raise DimensionMismatchError(
+            f"the cycle must be a 0-chain of points, got a {alpha.dim}-chain"
+        )
 
 
 def cocycle_eval(
@@ -210,5 +209,5 @@ def closed_form_translation(omega: PolyForm, vectors: Sequence[Sequence]) -> Fra
 
 def b_cochain(state: ZigzagState, alpha: Chain) -> Cochain:
     """The trivializing cochain as a reusable real-valued p-cochain."""
-    return _integral(state, alpha, state.phi(state.p))
+    return _integral(state, alpha, state.phis[state.p])
 

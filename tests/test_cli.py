@@ -33,9 +33,8 @@ def run_main(capsys, *argv):
 
 
 def r3_loop_scenario(tmp_path):
-    """r3 at descent depth p = 1 over a triangle loop; returns its path."""
+    """r3 over a triangle loop; returns its path."""
     data = json.loads(Path(R3).read_text())
-    data["descent"] = {"p": 1}
     corners = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
     data["cycle"] = {
         "dim": 1,
@@ -304,16 +303,19 @@ class TestExitCodes:
         assert code == 1
         assert report["pass"] is False
 
-    def test_descent_p_out_of_range_is_config_error(self, capsys, tmp_path):
+    def test_descent_key_is_config_error(self, capsys, tmp_path):
+        # the depth is always m - 1 and cannot be set
         data = json.loads(Path(R2).read_text())
-        data["descent"]["p"] = 5
+        data["descent"] = {"p": 1}
         path = tmp_path / "deep.json"
         path.write_text(json.dumps(data))
         code, report = run_main(capsys, "build-cocycle", "--scenario", str(path))
         assert code == 2
         assert report["pass"] is False
-        assert report["error"]["type"] == "ScenarioError"
-        assert "descent p" in report["error"]["message"]
+        assert report["error"] == {
+            "type": "ScenarioError",
+            "message": "unknown scenario keys: ['descent']",
+        }
 
     def test_zero_descent_form_is_config_error(self, capsys, tmp_path):
         data = json.loads(Path(R2).read_text())
@@ -386,9 +388,10 @@ class TestExitCodes:
     )
     @pytest.mark.parametrize("samples", ["0", "2"])
     def test_point_checks_refuse_shallow_descent(self, capsys, tmp_path, command, check, samples):
-        # The descent runs to p = m - 1 only.  r3 at that depth reaches
-        # `check`; a copy at p = 1 over a loop is refused at load instead,
-        # whatever the command and the sample count.
+        # The descent runs to p = m - 1 only and pairs with points.  r3
+        # reaches `check`; a copy over the loop a shallower depth would
+        # need is refused at load instead, whatever the command and the
+        # sample count.
         argv = [command, "--samples", samples]
         if command == "eval-cocycle":
             argv += ["--tuple", "T1", "T2", "T3"]
@@ -399,7 +402,7 @@ class TestExitCodes:
         assert code == 2
         assert report["error"] == {
             "type": "ScenarioError",
-            "message": "descent p must be m - 1 = 2 for a degree-3 form, got 1",
+            "message": "the cycle must be a 0-chain of points, got a 1-chain",
         }
 
     @pytest.mark.parametrize(
@@ -508,9 +511,7 @@ FIELDS = {
     ("verify", "degree_cap"): st.one_of(SMALL_FIELD_VALUES, st.integers(1, 10**12)),
     ("verify", "tolerance"): SMALL_FIELD_VALUES,
     ("", "dimension"): st.one_of(SMALL_FIELD_VALUES, st.integers(MAX_DIMENSION + 1, 10**6)),
-    ("descent", "p"): SMALL_FIELD_VALUES,
-    ("descent", "homotopy"): SMALL_FIELD_VALUES,
-    ("descent", "depth"): SMALL_FIELD_VALUES,
+    ("", "descent"): SMALL_FIELD_VALUES,
 }
 
 
@@ -543,13 +544,13 @@ BAD_ELEMENTS = st.sampled_from(
 @st.composite
 def mutated_inputs(draw):
     """r2 or r3, plus an explicit generator, with one generator spec, one
-    verify/descent field or the dimension, or the --tuple of eval-cocycle
-    changed."""
+    verify field, the dimension, a descent key or the --tuple of
+    eval-cocycle changed."""
     name, n = draw(st.sampled_from([("r2_area", 2), ("r3_volume", 3)]))
     data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
     data["group"]["generators"].append(explicit_shear(n))
     labels = [g["label"] for g in data["group"]["generators"]]
-    width = data["descent"]["p"] + 1
+    width = data["forms"][0]["form"]["degree"]
     target = draw(st.sampled_from(["generator", "field", "tuple"]))
     if target == "generator":
         spec = draw(st.sampled_from(data["group"]["generators"]))

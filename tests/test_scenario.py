@@ -41,7 +41,6 @@ def minimal_scenario(**overrides):
             ]
         },
         "cycle": {"dim": 0, "simplices": [{"coeff": "1", "verts": [["0", "0"]]}]},
-        "descent": {"p": 1},
         "verify": {"samples": 10, "seed": 1},
     }
     data.update(overrides)
@@ -144,12 +143,6 @@ class TestValidation:
         with pytest.raises((ScenarioError, TypeError)):
             load_scenario(write_scenario(tmp_path, data))
 
-    def test_unsupported_homotopy(self, tmp_path):
-        data = minimal_scenario()
-        data["descent"]["homotopy"] = "radial-elsewhere"
-        with pytest.raises(ScenarioError, match="poincare-origin"):
-            load_scenario(write_scenario(tmp_path, data))
-
     def test_bad_verify_key(self, tmp_path):
         data = minimal_scenario()
         data["verify"]["tolerance"] = 0
@@ -178,7 +171,6 @@ class TestValidation:
                 forms=[{"name": "dx1", "form": dx1}],
                 group={"generators": [{"type": "translation", "vector": ["1"] * n}]},
                 cycle={"dim": 0, "simplices": [{"coeff": "1", "verts": [["0"] * n]}]},
-                descent={},
             )
             if n == MAX_DIMENSION:
                 assert load_scenario(write_scenario(tmp_path, data)).dimension == n
@@ -187,14 +179,8 @@ class TestValidation:
                     load_scenario(write_scenario(tmp_path, data))
                 assert str(info.value) == f"dimension must be an integer in 1..{n - 1}, got {n}"
 
-    def test_descent_p_defaults_to_top_level(self, tmp_path):
-        data = minimal_scenario()
-        del data["descent"]
-        config = load_scenario(write_scenario(tmp_path, data))
-        assert config.build_state().p == 1  # degree 2 form
-
     def test_cycle_dimension_must_match_descent(self, tmp_path):
-        # a closed triangle loop, but p = 1 on a 2-form needs a 0-cycle
+        # a closed triangle loop, but the descent pairs only with points
         corners = [["0", "0"], ["1", "0"], ["0", "1"]]
         loop = {
             "dim": 1,
@@ -205,7 +191,7 @@ class TestValidation:
         data = minimal_scenario(cycle=loop)
         with pytest.raises(ScenarioError) as info:
             load_scenario(write_scenario(tmp_path, data))
-        assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
+        assert str(info.value) == "the cycle must be a 0-chain of points, got a 1-chain"
 
     def test_cycle_must_have_zero_boundary(self, tmp_path):
         # a lone segment is not a cycle; every accepted cycle is a 0-chain,
@@ -214,21 +200,25 @@ class TestValidation:
         data = minimal_scenario(cycle=segment)
         with pytest.raises(ScenarioError) as info:
             load_scenario(write_scenario(tmp_path, data))
-        assert str(info.value) == "cycle dimension 1 does not match m-p-1 = 0"
+        assert str(info.value) == "the cycle must be a 0-chain of points, got a 1-chain"
 
-    def test_descent_p_above_top_level(self, tmp_path):
-        # the descent runs to p = m - 1 only, and true is not the integer 1
-        for p, message in [
-            (5, "descent p must be m - 1 = 1 for a degree-2 form, got 5"),
-            (0, "descent p must be m - 1 = 1 for a degree-2 form, got 0"),
-            (True, "p must be an integer, got True"),
-        ]:
-            data = minimal_scenario()
-            data["descent"]["p"] = p
-            with pytest.raises(ScenarioError) as info:
-                load_scenario(write_scenario(tmp_path, data))
-            assert str(info.value) == message
-
+    @pytest.mark.parametrize(
+        "points",
+        [[], [("1", ["0", "0"]), ("-1", ["1", "0"])]],
+        ids=["empty", "cancelling"],
+    )
+    def test_cycle_weights_must_not_sum_to_zero(self, tmp_path, points):
+        # the cocycle is the sum of the weights times its value at one point
+        cycle = {
+            "dim": 0,
+            "simplices": [{"coeff": coeff, "verts": [vertex]} for coeff, vertex in points],
+        }
+        data = minimal_scenario(cycle=cycle)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write_scenario(tmp_path, data))
+        assert str(info.value) == (
+            "the cycle's weights sum to 0, so the cocycle would vanish identically"
+        )
 
     def test_zero_form_cannot_drive_descent(self, tmp_path):
         one = {
@@ -237,7 +227,6 @@ class TestValidation:
             "components": [{"idx": [], "poly": [{"exps": [0, 0], "coeff": "1"}]}],
         }
         data = minimal_scenario(forms=[{"name": "one", "form": one}])
-        del data["descent"]
         with pytest.raises(ScenarioError, match="'one' has degree 0 and cannot drive the descent"):
             load_scenario(write_scenario(tmp_path, data))
 
@@ -271,6 +260,7 @@ class TestUnknownNestedKeys:
     @pytest.mark.parametrize(
         "mutate, message",
         [
+            (lambda d: d.update(descent={"p": 1}), "unknown scenario keys: ['descent']"),
             (lambda d: d["group"].update(bogus=1), "unknown group keys: ['bogus']"),
             (
                 lambda d: d["group"]["generators"][0].update(lable="T1"),
@@ -285,7 +275,7 @@ class TestUnknownNestedKeys:
                 "unknown form keys: ['name']",
             ),
         ],
-        ids=["group", "translation", "linear", "shear", "explicit", "cycle", "form"],
+        ids=["scenario", "group", "translation", "linear", "shear", "explicit", "cycle", "form"],
     )
     def test_refused_and_named(self, tmp_path, mutate, message):
         data = json.loads(json.dumps(minimal_scenario()))

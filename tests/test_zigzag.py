@@ -71,12 +71,12 @@ ORIGIN3 = Chain.point([0, 0, 0])
 
 class TestBuild:
     def test_base_level(self, area_state):
-        assert area_state.phi(0)() == -poincare_h(PolyForm.volume(2))
-        assert (PolyForm.volume(2) + ext_d(area_state.phi(0)())).is_zero()
+        assert area_state.phis[0]() == -poincare_h(PolyForm.volume(2))
+        assert (PolyForm.volume(2) + ext_d(area_state.phis[0]())).is_zero()
 
     def test_levels_have_expected_degrees(self, volume_state):
         for i in range(3):
-            c = volume_state.phi(i)
+            c = volume_state.phis[i]
             assert c.p == i
             assert c.q == 3 - i - 1
 
@@ -234,9 +234,9 @@ class TestCocycleCondition:
         # shift phi_1 by a fixed non-constant function; the descent
         # equations still typecheck but the "cocycle" no longer closes
         bump = PolyForm.from_polynomial(Polynomial(2, {(0, 2): Fraction(1)}))
-        good_phi1 = state.phi(1)
+        good_phi1 = state.phis[1]
         bad_phi1 = Cochain(1, 0, 2, lambda g: good_phi1(g) + bump)
-        return ZigzagState(state.omega, state.group, [state.phi(0), bad_phi1])
+        return ZigzagState(state.omega, state.group, [state.phis[0], bad_phi1])
 
     def test_corrupted_level_is_detected(self, area_state):
         # the verifier must notice the corruption

@@ -62,7 +62,7 @@ class AffineSimplex:
         _set_dim(self, q)
         _set_ambient(self, ambient)
         _set_vertices(self, vertices)
-        _set_hash(self, None)
+        _set_hash(self, hash(vertices))
         _set_edges(self, None)
         _set_substitutions(self, {})
 
@@ -126,11 +126,7 @@ class AffineSimplex:
         return self.vertices == other.vertices
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.vertices)
-            _set_hash(self, h)
-        return h
+        return self._hash
 
     def __repr__(self):
         pts = ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.vertices)
@@ -172,19 +168,19 @@ class Chain:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def point(cls, point: Sequence, coeff=1) -> Chain:
+    def point(cls, point: Sequence) -> Chain:
         simplex = AffineSimplex([point])
-        return cls(0, simplex.ambient, {simplex: coeff})
+        return cls(0, simplex.ambient, {simplex: 1})
 
     @classmethod
-    def segment(cls, start: Sequence, end: Sequence, coeff=1) -> Chain:
+    def segment(cls, start: Sequence, end: Sequence) -> Chain:
         simplex = AffineSimplex([start, end])
-        return cls(1, simplex.ambient, {simplex: coeff})
+        return cls(1, simplex.ambient, {simplex: 1})
 
     @classmethod
-    def simplex(cls, vertices: Sequence[Sequence], coeff=1) -> Chain:
+    def simplex(cls, vertices: Sequence[Sequence]) -> Chain:
         s = AffineSimplex(vertices)
-        return cls(s.dim, s.ambient, {s: coeff})
+        return cls(s.dim, s.ambient, {s: 1})
 
     @classmethod
     def triangle_loop(cls, a: Sequence, b: Sequence, c: Sequence) -> Chain:

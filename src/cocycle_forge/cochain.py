@@ -161,7 +161,7 @@ def delta_double_prime(c: Cochain) -> Cochain:
     return Cochain(c.p, c.q + 1, c.dim, evaluator)
 
 
-def f_gamma(gamma: Chain, omega: PolyForm, *, check_cycle: bool = True) -> PolyForm:
+def f_gamma(gamma: Chain, omega: PolyForm) -> PolyForm:
     """Transgress a form on R^n to a form on the translation group.
 
     The result has degree p = deg(omega) - dim(gamma); its value on
@@ -177,16 +177,14 @@ def f_gamma(gamma: Chain, omega: PolyForm, *, check_cycle: bool = True) -> PolyF
     position among the axes still left.  Each such term is integrated
     once, by one ``integrate_translated`` call.
 
-    ``check_cycle`` enforces that gamma has zero boundary, which the
-    intertwining identity with the exterior derivative needs; pass
-    False to transgress against an arbitrary chain.
+    Any chain gamma is accepted.  The intertwining identity with the
+    exterior derivative needs gamma to have zero boundary; ``F_gamma``
+    and ``checks.fgamma_suite`` require that themselves.
     """
     if omega.dim != gamma.ambient:
         raise DimensionMismatchError(
             f"form on R^{omega.dim} against a chain in R^{gamma.ambient}"
         )
-    if check_cycle:
-        require_cycle(gamma, "transgression chain")
     n = omega.dim
     if omega.degree < gamma.dim:
         return PolyForm.zero(n, 0)
@@ -224,6 +222,6 @@ def F_gamma(c: Cochain, gamma: Chain) -> Cochain:
         q_out = c.q - gamma.dim
 
     def evaluator(*gs: PolyDiffeo) -> PolyForm:
-        return f_gamma(gamma, c(*gs), check_cycle=False)
+        return f_gamma(gamma, c(*gs))
 
     return Cochain(c.p, q_out, c.dim, evaluator)

@@ -156,7 +156,7 @@ class PolyDiffeo:
             raise ValueError(f"axis {axis} out of range for dimension {dim}")
         if poly.dim != dim:
             raise DimensionMismatchError("shear polynomial has the wrong dimension")
-        if any(exp[axis] for exp in poly.terms):
+        if not poly.partial(axis).is_zero():
             raise ValueError(f"shear polynomial may not involve x{axis + 1}")
         xs = [Polynomial.variable(dim, i) for i in range(dim)]
         fwd = (*xs[:axis], xs[axis] + poly, *xs[axis + 1 :])

@@ -322,12 +322,11 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.dim}, {self.to_str()!r})"
 
-    def to_str(self, names: Sequence[str] | None = None) -> str:
+    def to_str(self) -> str:
         """Deterministic human-readable rendering, highest degree first."""
         if not self.num:
             return "0"
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.dim)]
+        names = [f"x{i + 1}" for i in range(self.dim)]
         pieces = []
         for exp, c in sorted(
             self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True

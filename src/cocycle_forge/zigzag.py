@@ -47,11 +47,7 @@ from typing import Sequence
 from .chains import Chain, integrate
 from .cochain import Cochain, delta_double_prime, delta_prime
 from .diffeo import GroupPresentation, PolyDiffeo
-from .errors import (
-    DimensionMismatchError,
-    InvarianceError,
-    NotClosedError,
-)
+from .errors import DimensionMismatchError, NotClosedError
 from .forms import PolyForm, evaluate, ext_d, poincare_h
 from .polynomial import as_point
 
@@ -61,15 +57,13 @@ class ZigzagState:
 
     ``phis[i]`` is an i-cochain valued in forms of degree m-i-1 and
     ``dprimes[i]`` is d'phi_i, one cochain (and one memo table) per
-    level, shared by every downstream evaluation.  ``dprimes`` may hand
-    in a prefix d'phi_0, d'phi_1, ... already built over these phis,
-    merging through the table ``products``; the rest are built here.
-    ``products`` holds each product g h that a d' over this state has
-    formed, keyed by the pair (g, h): every level and every cochain
-    built by ``delta_prime`` below shares it, so a product is formed
-    once and is one object, whose Jacobian rows are then filled once.
-    Direct construction is allowed (the test suite uses it to corrupt a
-    level on purpose); ``build_phi_sequence`` is the checked factory.
+    level, shared by every downstream evaluation.  ``products`` holds
+    each product g h that a d' over this state has formed, keyed by the
+    pair (g, h): every level and every cochain built by ``delta_prime``
+    below shares it, so a product is formed once and is one object,
+    whose Jacobian rows are then filled once.  ``build_phi_sequence``
+    builds all three; the state only checks that each row has p + 1
+    levels.
     """
 
     __slots__ = ("omega", "p", "group", "phis", "dprimes", "products")
@@ -79,19 +73,19 @@ class ZigzagState:
         omega: PolyForm,
         group: GroupPresentation,
         phis: Sequence[Cochain],
-        dprimes: Sequence[Cochain] = (),
-        products: dict | None = None,
+        dprimes: Sequence[Cochain],
+        products: dict,
     ):
         self.omega = omega
         self.p = p = omega.degree - 1
         self.group = group
         self.phis = tuple(phis)
-        if len(self.phis) != p + 1:
-            raise ValueError(f"descent to depth {p} needs {p + 1} cochains")
-        self.products = {} if products is None else products
-        self.dprimes = tuple(dprimes) + tuple(
-            self.delta_prime(phi) for phi in self.phis[len(dprimes) :]
-        )
+        self.dprimes = tuple(dprimes)
+        if len(self.phis) != p + 1 or len(self.dprimes) != p + 1:
+            raise ValueError(
+                f"descent to depth {p} needs {p + 1} cochains phi and d'phi"
+            )
+        self.products = products
 
     def delta_prime(self, c: Cochain) -> Cochain:
         """d'c under the group's degree cap, merging through ``products``."""
@@ -115,7 +109,7 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
 
     Requires a nonzero closed form of degree m >= 1 that every generator
     preserves; the invariance check is skipped when the group was built
-    to preserve it.
+    to preserve it, and is otherwise the presentation's own.
     """
     if omega.is_zero():
         raise ValueError("the descent needs a nonzero form")
@@ -124,11 +118,7 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
     if not ext_d(omega).is_zero():
         raise NotClosedError("the input form is not closed")
     if omega not in group.preserved_forms:
-        for g in group.generators:
-            if not g.preserves(omega):
-                raise InvarianceError(
-                    f"generator {g.label or repr(g)} does not preserve the input form"
-                )
+        GroupPresentation(group.generators, [omega], degree_cap=group.degree_cap)
     m = omega.degree
     if m < 1:
         raise ValueError("the descent needs a form of degree at least 1")
@@ -155,6 +145,7 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
             return poincare_h(rhs)
 
         phis.append(Cochain(i, m - i - 1, omega.dim, evaluator))
+    dprimes.append(delta_prime(phis[-1], group.degree_cap, products))
     return ZigzagState(omega, group, phis, dprimes, products)
 
 

@@ -406,6 +406,46 @@ class TestExitCodes:
         }
 
     @pytest.mark.parametrize(
+        "edit, argv, message",
+        [
+            (
+                "weighted_form",
+                ["check-closed-form"],
+                "the closed-form comparison needs a constant-coefficient form",
+            ),
+            (
+                "weighted_form",
+                ["check-triviality"],
+                "linear-subgroup sampling needs a constant-coefficient form",
+            ),
+            (
+                "moved_point",
+                ["check-triviality", "--subgroup", "linear"],
+                "the cycle is not fixed by origin-fixing linear maps; "
+                "use a point cycle at the origin or subgroup=stabilizer",
+            ),
+        ],
+    )
+    def test_checks_refuse_what_they_cannot_compare(self, capsys, tmp_path, edit, argv, message):
+        # (1 + 3y^2) dx^dy is preserved by T1 and the shear sigma, but its
+        # coefficient is not constant; a point at (7, 9) is moved by linear maps
+        data = json.loads(Path(R2).read_text())
+        if edit == "weighted_form":
+            data["forms"][0]["form"]["components"][0]["poly"] = [
+                {"exps": [0, 0], "coeff": "1"},
+                {"exps": [0, 2], "coeff": "3"},
+            ]
+            gens = data["group"]["generators"]
+            data["group"]["generators"] = [g for g in gens if g["label"] in ("T1", "sigma")]
+        else:
+            data["cycle"]["simplices"][0]["verts"] = [["7", "9"]]
+        path = tmp_path / f"{edit}.json"
+        path.write_text(json.dumps(data))
+        code, report = run_main(capsys, *argv, "--scenario", str(path))
+        assert code == 2
+        assert report["error"] == {"type": "ScenarioError", "message": message}
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("form degree", 2.9),

@@ -196,7 +196,7 @@ def reference_f_gamma(gamma, omega):
 @st.composite
 def chain_and_form(draw):
     """A point, a triangle loop or a segment in R^n, n = 1..4, and a form
-    of any degree on R^n; the flag marks the segment, which is no cycle."""
+    of any degree on R^n."""
     n = draw(st.integers(1, 4))
     rng = random.Random(draw(st.integers(0, 10**6)))
     a, b, c = (random_vector(rng, n, 3) for _ in range(3))
@@ -207,16 +207,15 @@ def chain_and_form(draw):
         "segment": Chain.segment(a, b),
     }[kind]
     omega = random_form(rng, n, draw(st.integers(0, n)), 2)
-    return gamma, omega, kind == "segment"
+    return gamma, omega
 
 
 class TestFGamma:
     @given(chain_and_form())
     @settings(max_examples=150, deadline=None)
     def test_matches_interior_product_definition(self, case):
-        gamma, omega, is_segment = case
-        out = f_gamma(gamma, omega, check_cycle=not is_segment)
-        assert out == reference_f_gamma(gamma, omega)
+        gamma, omega = case
+        assert f_gamma(gamma, omega) == reference_f_gamma(gamma, omega)
 
     def test_point_cycle_identity_on_constants(self):
         rng = seeded("point")
@@ -242,13 +241,15 @@ class TestFGamma:
         # vertical unit segment, area form: only the first-axis
         # contraction survives and integrates to one, so the result is dx1
         seg = Chain.segment([0, 0], [0, 1])
-        out = f_gamma(seg, PolyForm.volume(2), check_cycle=False)
+        out = f_gamma(seg, PolyForm.volume(2))
         assert out == PolyForm.dx(2, 0)
 
     def test_cycle_required_by_default(self):
+        # f_gamma transgresses any chain; the cochain-level F_gamma, whose
+        # intertwining identities need a cycle, refuses a segment
         seg = Chain.segment([0, 0], [0, 1])
         with pytest.raises(NotACycleError):
-            f_gamma(seg, PolyForm.volume(2))
+            F_gamma(Cochain.of_form(PolyForm.volume(2)), seg)
 
     def test_d_intertwine_on_loop(self):
         rng = seeded("dloop")

@@ -109,6 +109,29 @@ class TestBuild:
         with pytest.raises(InvarianceError):
             build_phi_sequence(PolyForm.volume(2), group)
 
+    def test_level_closedness_guard(self):
+        # a group falsely declared to preserve dx^dy passes the build; the
+        # per-level check catches it at the first evaluation instead
+        double = PolyDiffeo.linear([[2, 0], [0, 1]], "double")
+        area = PolyForm.volume(2)
+        state = build_phi_sequence(area, GroupPresentation([double], [area], _trusted=True))
+        with pytest.raises(
+            NotClosedError, match=r"level-1 descent input is not closed on \(double\)"
+        ):
+            state.phis[1](double)
+
+    def test_rejects_form_on_another_space(self):
+        group = GroupPresentation([PolyDiffeo.translation([1, 0], "T1")])
+        with pytest.raises(DimensionMismatchError, match="different spaces"):
+            build_phi_sequence(PolyForm.volume(3), group)
+
+    def test_state_needs_every_level(self, area_state):
+        s = area_state
+        with pytest.raises(ValueError, match="needs 2 cochains"):
+            ZigzagState(s.omega, s.group, s.phis[:1], s.dprimes, s.products)
+        with pytest.raises(ValueError, match="needs 2 cochains"):
+            ZigzagState(s.omega, s.group, s.phis, s.dprimes[:1], s.products)
+
     def test_depth_range(self, area_state, volume_state):
         # the descent runs to p = m - 1, so a degree-0 form has no level to reach
         group = GroupPresentation([PolyDiffeo.translation([1, 0], "T1")])
@@ -236,7 +259,10 @@ class TestCocycleCondition:
         bump = PolyForm.from_polynomial(Polynomial(2, {(0, 2): Fraction(1)}))
         good_phi1 = state.phis[1]
         bad_phi1 = Cochain(1, 0, 2, lambda g: good_phi1(g) + bump)
-        return ZigzagState(state.omega, state.group, [state.phis[0], bad_phi1])
+        phis = [state.phis[0], bad_phi1]
+        products = {}
+        dprimes = [delta_prime(phi, state.group.degree_cap, products) for phi in phis]
+        return ZigzagState(state.omega, state.group, phis, dprimes, products)
 
     def test_corrupted_level_is_detected(self, area_state):
         # the verifier must notice the corruption

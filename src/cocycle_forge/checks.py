@@ -174,8 +174,8 @@ def calculus_suite(group: GroupPresentation, samples: int, seed: int) -> list[di
 
     def functorial(_):
         a = random_form(rng, dim, rng.randint(0, dim), 2)
-        phi = random_polynomial_map(rng, dim, dim, 2)
-        psi = random_polynomial_map(rng, dim, dim, 2)
+        phi = random_polynomial_map(rng, dim, dim)
+        psi = random_polynomial_map(rng, dim, dim)
         composite = [c.compose(psi) for c in phi]
         return pullback(composite, a) != pullback(psi, pullback(phi, a))
 
@@ -254,7 +254,7 @@ def stokes_suite(dim: int, samples: int, seed: int) -> list[dict]:
 
     def ddzero(_):
         q = rng.randint(2, dim)
-        return boundary(boundary(random_chain(rng, dim, q, 2)))
+        return boundary(boundary(random_chain(rng, dim, q)))
 
     checks.append(
         _sweep("boundary_squared_zero", samples if dim >= 2 else 0, ddzero)

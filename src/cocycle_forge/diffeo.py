@@ -58,12 +58,10 @@ class PolyDiffeo:
     routes to the same map (for instance ``g.compose(g.inverted())`` and
     ``identity``) compare equal regardless of labels.
 
-    Two things are filled on first use and kept: the inverse of a
-    composite, and the rows of the Jacobian that ``pullback_form``
-    differentiates, one row per axis.
+    A composite's inverse and the hash are filled on first use and kept.
     """
 
-    __slots__ = ("dim", "forward", "_inverse", "_factors", "label", "_degree", "_hash", "_rows")
+    __slots__ = ("dim", "forward", "_inverse", "_factors", "label", "_degree", "_hash")
 
     def __init__(
         self,
@@ -98,7 +96,6 @@ class PolyDiffeo:
         _set_label(self, label)
         _set_degree(self, _map_degree(forward))
         _set_hash(self, None)
-        _set_rows(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyDiffeo is immutable")
@@ -225,11 +222,7 @@ class PolyDiffeo:
         """g^* alpha, the pullback of a form along this map."""
         if alpha.dim != self.dim:
             raise DimensionMismatchError("pulling back a form from the wrong space")
-        rows = self._rows
-        if rows is None:
-            rows = {}
-            _set_rows(self, rows)
-        return pullback(self.forward, alpha, rows)
+        return pullback(self.forward, alpha)
 
     def preserves(self, alpha: PolyForm) -> bool:
         return self.pullback_form(alpha) == alpha
@@ -262,7 +255,6 @@ class PolyDiffeo:
     _set_label,
     _set_degree,
     _set_hash,
-    _set_rows,
 ) = (PolyDiffeo.__dict__[name].__set__ for name in PolyDiffeo.__slots__)
 
 

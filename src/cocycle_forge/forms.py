@@ -338,11 +338,7 @@ def interior(field: PolyVectorField, alpha: PolyForm) -> PolyForm:
     return PolyForm._raw(n, alpha.degree - 1, comps)
 
 
-def pullback(
-    map_components: Sequence[Polynomial],
-    alpha: PolyForm,
-    rows: dict[int, list[tuple[int, Polynomial]]] | None = None,
-) -> PolyForm:
+def pullback(map_components: Sequence[Polynomial], alpha: PolyForm) -> PolyForm:
     """Pull back ``alpha`` along the polynomial map with the given components.
 
     The map goes from R^m to R^n where m is the common dimension of the
@@ -350,11 +346,6 @@ def pullback(
     Coefficients are substituted and each dx_i becomes the differential
     of the i-th component.  Contravariant functoriality holds exactly:
     pulling back along f then g equals pulling back along f.g.
-
-    ``rows`` keeps the map's Jacobian rows between calls: row a, the
-    nonzero entries (j, dg_a/dx_j), is differentiated the first time a
-    form uses axis a and read from ``rows`` after that.  It must belong
-    to this one map; ``PolyDiffeo.pullback_form`` passes the map's own.
     """
     comps = list(map_components)
     if len(comps) != alpha.dim:
@@ -368,9 +359,8 @@ def pullback(
         if c.dim != m:
             raise DimensionMismatchError("map components disagree on source dimension")
     # the nonzero entries (j, dg_a/dx_j) of row a of the Jacobian, for
-    # each axis a that occurs in alpha
-    if rows is None:
-        rows = {}
+    # each axis a that occurs in alpha; the components share them
+    rows = {}
     for idx in alpha.components:
         for a in idx:
             if a not in rows:

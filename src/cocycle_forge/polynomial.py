@@ -181,6 +181,9 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
+            # leave other operands, such as a PolyForm, their own __rmul__
+            if not isinstance(other, (int, Fraction, str)):
+                return NotImplemented
             c = as_fraction(other)
             if not c:
                 return Polynomial.zero(self.dim)

@@ -49,7 +49,6 @@ def random_form(
     dim: int,
     degree: int,
     max_coeff_degree: int = 3,
-    terms_per_component: int = 2,
 ) -> PolyForm:
     """A random form; may be zero, as identity checks must survive that."""
     if degree > dim:
@@ -59,7 +58,7 @@ def random_form(
     for idx in itertools.combinations(axes, degree):
         if rng.random() < 0.5:
             continue
-        poly = random_polynomial(rng, dim, max_coeff_degree, terms_per_component)
+        poly = random_polynomial(rng, dim, max_coeff_degree, 2)
         if not poly.is_zero():
             components[idx] = poly
     return PolyForm(dim, degree, components)
@@ -90,26 +89,20 @@ def random_vector_field(
     )
 
 
-def random_simplex(rng: random.Random, ambient: int, dim: int, span: int = 3) -> AffineSimplex:
+def random_simplex(rng: random.Random, ambient: int, dim: int) -> AffineSimplex:
     """A random affine simplex; degenerate simplices are allowed."""
-    return AffineSimplex(
-        [random_vector(rng, ambient, span) for _ in range(dim + 1)]
-    )
+    return AffineSimplex([random_vector(rng, ambient, 3) for _ in range(dim + 1)])
 
 
-def random_chain(
-    rng: random.Random, ambient: int, dim: int, simplices: int = 2
-) -> Chain:
+def random_chain(rng: random.Random, ambient: int, dim: int) -> Chain:
     terms = {}
-    for _ in range(simplices):
+    for _ in range(2):
         terms[random_simplex(rng, ambient, dim)] = random_fraction(rng)
     return Chain(dim, ambient, terms)
 
 
 def random_polynomial_map(
-    rng: random.Random, source_dim: int, target_dim: int, max_degree: int = 2
+    rng: random.Random, source_dim: int, target_dim: int
 ) -> list[Polynomial]:
     """A random polynomial map R^source -> R^target (not invertible in general)."""
-    return [
-        random_polynomial(rng, source_dim, max_degree) for _ in range(target_dim)
-    ]
+    return [random_polynomial(rng, source_dim, 2) for _ in range(target_dim)]

@@ -55,36 +55,30 @@ from .polynomial import as_point
 class ZigzagState:
     """The form, the group, and the descent cochains phi_0..phi_p, p = m - 1.
 
-    ``phis[i]`` is an i-cochain valued in forms of degree m-i-1 and
-    ``dprimes[i]`` is d'phi_i, one cochain (and one memo table) per
-    level, shared by every downstream evaluation.  ``products`` holds
-    each product g h that a d' over this state has formed, keyed by the
-    pair (g, h): every level and every cochain built by ``delta_prime``
-    below shares it, so a product is formed once and is one object,
-    whose Jacobian rows are then filled once.  ``build_phi_sequence``
-    builds all three; the state only checks that each row has p + 1
-    levels.
+    ``phis[i]`` is an i-cochain valued in forms of degree m-i-1.
+    ``products`` holds each product g h that a d' over this state has
+    formed, keyed by the pair (g, h): every level and every cochain
+    built by ``delta_prime`` below shares it, so a product is formed
+    once and is one object.  A level's d'phi_i is formed where it is
+    read.  ``build_phi_sequence`` builds both; the state only checks
+    that there are p + 1 levels.
     """
 
-    __slots__ = ("omega", "p", "group", "phis", "dprimes", "products")
+    __slots__ = ("omega", "p", "group", "phis", "products")
 
     def __init__(
         self,
         omega: PolyForm,
         group: GroupPresentation,
         phis: Sequence[Cochain],
-        dprimes: Sequence[Cochain],
         products: dict,
     ):
         self.omega = omega
         self.p = p = omega.degree - 1
         self.group = group
         self.phis = tuple(phis)
-        self.dprimes = tuple(dprimes)
-        if len(self.phis) != p + 1 or len(self.dprimes) != p + 1:
-            raise ValueError(
-                f"descent to depth {p} needs {p + 1} cochains phi and d'phi"
-            )
+        if len(self.phis) != p + 1:
+            raise ValueError(f"descent to depth {p} needs {p + 1} cochains phi")
         self.products = products
 
     def delta_prime(self, c: Cochain) -> Cochain:
@@ -99,7 +93,7 @@ class ZigzagState:
         """(d'phi_{i-1} + d''phi_i)(g_1..g_i); zero on a sound descent."""
         if not 1 <= i <= self.p:
             raise ValueError(f"descent level {i} out of range 1..{self.p}")
-        lhs = self.dprimes[i - 1](*gs)
+        lhs = self.delta_prime(self.phis[i - 1])(*gs)
         rhs = delta_double_prime(self.phis[i])(*gs)
         return lhs + rhs
 
@@ -124,16 +118,15 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
         raise ValueError("the descent needs a form of degree at least 1")
     phi0_value = -poincare_h(omega)
     phis = [Cochain(0, m - 1, omega.dim, lambda: phi0_value)]
-    # Level i holds d'phi_{i-1} itself and the state is handed the same
-    # cochains and product table, so each level has one memo.  Reading
-    # them through the state instead would tie the state and its memos
-    # into a reference cycle, left for the cyclic garbage collector to free.
-    dprimes = []
+    # Level i holds its own d'phi_{i-1} and the product table, which the
+    # state is handed too.  Reading them through the state instead would
+    # tie the state and its memos into a reference cycle, left for the
+    # cyclic garbage collector to free.
     products = {}
     for i in range(1, m):
-        dprimes.append(delta_prime(phis[i - 1], group.degree_cap, products))
+        dprime = delta_prime(phis[i - 1], group.degree_cap, products)
 
-        def evaluator(*gs, _dp=dprimes[-1], _i=i):
+        def evaluator(*gs, _dp=dprime, _i=i):
             rhs = _dp(*gs)
             if _i % 2 == 0:
                 rhs = -rhs
@@ -145,8 +138,7 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
             return poincare_h(rhs)
 
         phis.append(Cochain(i, m - i - 1, omega.dim, evaluator))
-    dprimes.append(delta_prime(phis[-1], group.degree_cap, products))
-    return ZigzagState(omega, group, phis, dprimes, products)
+    return ZigzagState(omega, group, phis, products)
 
 
 def _check_alpha(state: ZigzagState, alpha: Chain):
@@ -164,7 +156,7 @@ def cocycle_eval(
 ) -> Fraction:
     """The cocycle value int_alpha (d'phi_p)(g_1,...,g_{p+1}): the one-shot
     form of ``cocycle``, which a loop over tuples should build once."""
-    return _integral(state, alpha, state.dprimes[state.p])(*gs)
+    return cocycle(state, alpha)(*gs)
 
 
 def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:
@@ -179,7 +171,7 @@ def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:
 
 def cocycle(state: ZigzagState, alpha: Chain) -> Cochain:
     """The cocycle as a reusable real-valued (p+1)-cochain."""
-    return _integral(state, alpha, state.dprimes[state.p])
+    return _integral(state, alpha, state.delta_prime(state.phis[state.p]))
 
 
 def closed_form_translation(omega: PolyForm, vectors: Sequence[Sequence]) -> Fraction:

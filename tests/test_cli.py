@@ -168,6 +168,22 @@ class TestReports:
         assert report["samples"] == 7
         assert report["checks"][0]["samples"] == 7
 
+    def test_seed_override(self, capsys):
+        def b_tuples(*flags):
+            code, report = run_main(
+                capsys, "check-triviality", "--scenario", R2,
+                "--subgroup", "stabilizer", "--samples", "2", *flags,
+            )
+            assert code == 0
+            return report, [v["tuple"] for v in report["checks"][0]["b_values"]]
+
+        base, base_tuples = b_tuples()
+        same, _ = b_tuples("--seed", "7")  # the scenario's own seed
+        assert same == base
+        reseeded, tuples = b_tuples("--seed", "99")
+        assert reseeded["seed"] == 99
+        assert tuples[1] == ["id*rot90^-1*rot90^-1"] != base_tuples[1]
+
     def test_timings_flag(self, capsys):
         _, without = run_main(capsys, "build-cocycle", "--scenario", R1)
         _, with_t = run_main(capsys, "build-cocycle", "--scenario", R1, "--timings")
@@ -185,7 +201,58 @@ class TestCommandTable:
         assert documented == list(cli.COMMANDS) == listed
 
 
+def _singular_rot90(data):
+    data["group"]["generators"][2]["matrix"] = [["1", "2"], ["2", "4"]]
+
+
+def _sigma_on_x1(data):
+    data["group"]["generators"][3]["poly"] = [{"exps": [1, 0], "coeff": "1"}]
+
+
+def _form_as_string(data):
+    data["forms"][0]["form"] = "dx1^dx2"
+
+
+def _form_without_components(data):
+    del data["forms"][0]["form"]["components"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "flags, edit, message",
+        [
+            (["--samples", "-1"], None, "--samples must be >= 0"),
+            (["--degree-cap", "0"], None, "--degree-cap must be >= 1"),
+            ([], _singular_rot90, "matrix for rot90 is singular"),
+            ([], _sigma_on_x1, "shear polynomial may not involve x1"),
+            ([], _form_as_string, "form must be an object"),
+            (
+                [],
+                _form_without_components,
+                "form needs dim, degree, components: 'components'",
+            ),
+        ],
+        ids=[
+            "negative-samples",
+            "zero-degree-cap",
+            "singular-matrix",
+            "shear-on-own-axis",
+            "form-not-object",
+            "form-missing-key",
+        ],
+    )
+    def test_refusal_error_object(self, capsys, tmp_path, flags, edit, message):
+        scenario = R2
+        if edit is not None:
+            data = json.loads(Path(R2).read_text())
+            edit(data)
+            path = tmp_path / "refused.json"
+            path.write_text(json.dumps(data))
+            scenario = str(path)
+        code, report = run_main(capsys, "build-cocycle", "--scenario", scenario, *flags)
+        assert code == 2
+        assert report["error"] == {"type": "ScenarioError", "message": message}
+
     def test_missing_scenario_is_config_error(self, capsys):
         code, report = run_main(capsys, "build-cocycle", "--scenario", "/no/such.json")
         assert code == 2

@@ -115,6 +115,13 @@ class TestPolyForm:
         assert w.coefficient((1,)) == x
         assert (w * Fraction(2)).coefficient((1,)) == 2 * x
 
+    def test_polynomial_scalar_multiplies_from_either_side(self):
+        x = Polynomial.variable(2, 0)
+        w = PolyForm.dx(2, 1) + PolyForm.dx(2, 0) * Fraction(1, 3)
+        assert x * w == w * x
+        with pytest.raises(TypeError):
+            x * 0.5
+
     def test_evaluate_against_determinant(self):
         vol = PolyForm.volume(2)
         assert evaluate(vol, (0, 0), [(1, 0), (0, 1)]) == 1

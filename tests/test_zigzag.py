@@ -5,6 +5,7 @@ The headline value c(sigma, T_(0,1)) = -1/6 is cross-checked here against
 package.
 """
 
+import gc
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -128,9 +129,9 @@ class TestBuild:
     def test_state_needs_every_level(self, area_state):
         s = area_state
         with pytest.raises(ValueError, match="needs 2 cochains"):
-            ZigzagState(s.omega, s.group, s.phis[:1], s.dprimes, s.products)
+            ZigzagState(s.omega, s.group, s.phis[:1], s.products)
         with pytest.raises(ValueError, match="needs 2 cochains"):
-            ZigzagState(s.omega, s.group, s.phis, s.dprimes[:1], s.products)
+            ZigzagState(s.omega, s.group, s.phis + s.phis[:1], s.products)
 
     def test_depth_range(self, area_state, volume_state):
         # the descent runs to p = m - 1, so a degree-0 form has no level to reach
@@ -139,7 +140,7 @@ class TestBuild:
             build_phi_sequence(PolyForm.constant_function(2, 1), group)
         for state in (area_state, volume_state):
             assert state.p == state.m - 1
-            assert len(state.phis) == len(state.dprimes) == state.m
+            assert len(state.phis) == state.m
 
 
 class TestCocycleValues:
@@ -259,10 +260,7 @@ class TestCocycleCondition:
         bump = PolyForm.from_polynomial(Polynomial(2, {(0, 2): Fraction(1)}))
         good_phi1 = state.phis[1]
         bad_phi1 = Cochain(1, 0, 2, lambda g: good_phi1(g) + bump)
-        phis = [state.phis[0], bad_phi1]
-        products = {}
-        dprimes = [delta_prime(phi, state.group.degree_cap, products) for phi in phis]
-        return ZigzagState(state.omega, state.group, phis, dprimes, products)
+        return ZigzagState(state.omega, state.group, [state.phis[0], bad_phi1], {})
 
     def test_corrupted_level_is_detected(self, area_state):
         # the verifier must notice the corruption
@@ -434,3 +432,23 @@ class TestProductsFormedOnce:
         pairs.clear()
         delta_prime(c, state.group.degree_cap)(g1, g2, g3, g4)
         assert (g1, g2) in pairs
+
+
+def test_descent_frees_without_cyclic_collector():
+    # the state, its levels and their memos form no reference cycle, so
+    # reference counting alone frees them once the last name is dropped
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "r3_volume.json"
+    gc.collect()
+    gc.disable()
+    try:
+        config = load_scenario(str(scenario))
+        state = config.build_state()
+        c = cocycle(state, config.cycle)
+        words = state.group.sample_words(6, 3, seed=11)
+        values = [c(*words[k : k + 3]) for k in (0, 3)]
+        checks = cocycle_identity_suite(state, config.cycle, 3, 5, 2)
+        assert all(check["failures"] == 0 for check in checks)
+        del config, state, c, words, values, checks
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -10,14 +10,18 @@ and evaluates monomial integrals with the Dirichlet formula
 
     int_{Delta^q} t_1^{a_1} ... t_q^{a_q} dt = a_1! ... a_q! / (q + sum a_i)!
 
-so every value is an exact ``Fraction``.  Stokes' theorem then holds on
-the nose, which the test-suite exploits as a consistency oracle.
+with every weight an int over the one denominator (q + top)!, top the
+largest sum a_i (``Polynomial.simplex_integral``), so every value is an
+exact ``Fraction``.  Stokes' theorem then holds on the nose, which the
+test-suite exploits as a consistency oracle.
 
 Each simplex builds its edge vectors and the substitution polynomials of
 its parametrization once, on first use, and keeps them; integrating many
 forms over one chain therefore builds them once per simplex.  The
-Jacobian minors of a form's components come first, and a component whose
-minor vanishes is never composed with the substitution.
+Jacobian minors of a form's components come first, and the minors are
+folded before composing: the components with a nonzero minor make one
+integrand sum_I det(E_I) f_I, composed with the substitution once.  A
+component whose minor vanishes never enters it.
 
 0-chains are signed combinations of points and integrate by signed
 evaluation.
@@ -25,7 +29,6 @@ evaluation.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -264,41 +267,29 @@ def require_cycle(chain: Chain, what: str = "chain"):
         raise NotACycleError(f"{what} has nonzero boundary")
 
 
-def _dirichlet(exponents: Sequence[int]) -> Fraction:
-    """Exact integral of a monomial over the standard simplex."""
-    q = len(exponents)
-    num = 1
-    for a in exponents:
-        num *= math.factorial(a)
-    return Fraction(num, math.factorial(q + sum(exponents)))
-
-
 def _simplex_integral(form: PolyForm, simplex: AffineSimplex, translated: bool) -> Polynomial:
     """Integral of ``form`` over the g-translate of ``simplex``.
 
     Returns a polynomial in the n translation coordinates g_1..g_n; with
     ``translated`` false, g = 0 is substituted first and the result is
-    the constant integral over ``simplex`` itself.  Works uniformly for
-    q = 0 (signed evaluation at g + vertex).  A component whose Jacobian
-    minor vanishes contributes nothing, so it is never composed.
+    the constant integral over ``simplex`` itself.  A point (q = 0) gives
+    its coefficient at g + vertex.  Otherwise the components are folded
+    into one integrand sum_I det(E_I) f_I over the nonzero Jacobian minors,
+    which is composed with the parametrization once and integrated over
+    the standard simplex (exact by linearity); when every minor vanishes,
+    nothing is composed.
     """
-    n = simplex.ambient
+    if not simplex.dim:
+        return form.coefficient(()).compose(simplex.substitution(translated))
     edges = simplex.edges()
-    minors = []
+    integrand = Polynomial.zero(simplex.ambient)
     for idx, poly in form.components.items():
         jac = det([[edge[a] for a in idx] for edge in edges])
         if jac:
-            minors.append((poly, jac))
-    total = Polynomial.zero(n)
-    if not minors:
-        return total
-    substitution = simplex.substitution(translated)
-    for poly, jac in minors:
-        pulled = poly.compose(substitution)
-        total = total + pulled.map_monomials(
-            n, lambda exp: (exp[:n], jac * _dirichlet(exp[n:]))
-        )
-    return total
+            integrand = integrand + poly * jac
+    if integrand.is_zero():
+        return integrand
+    return integrand.compose(simplex.substitution(translated)).simplex_integral(simplex.dim)
 
 
 def _check_match(form: PolyForm, chain: Chain):

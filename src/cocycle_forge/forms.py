@@ -409,7 +409,7 @@ def poincare_h(alpha: PolyForm) -> PolyForm:
             def contract(exp):
                 new_exp = list(exp)
                 new_exp[axis] += 1
-                return tuple(new_exp), Fraction(sign, k + sum(exp))
+                return tuple(new_exp), sign, k + sum(exp)
 
             _accumulate(comps, idx[:j] + idx[j + 1 :], poly.map_monomials(n, contract))
     return PolyForm._raw(n, k - 1, comps)

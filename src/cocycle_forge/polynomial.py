@@ -14,8 +14,9 @@ Also hosts the little exact linear algebra the rest of the code needs
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add
+from itertools import accumulate
+from math import gcd, lcm, prod
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -179,19 +180,36 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, n: int, d: int) -> Polynomial:
+        """self * n/d for ints n and d > 0; self itself when n/d is 1."""
+        if not n:
+            return Polynomial.zero(self.dim)
+        if n == d:
+            return self
+        return Polynomial._raw(self.dim, {e: v * n for e, v in self.num.items()}, self.den * d)
+
+    def _scalar(self):
+        """(numerator, den) of a nonzero constant polynomial, else None."""
+        if len(self.num) == 1:
+            ((exp, c),) = self.num.items()
+            if not any(exp):
+                return c, self.den
+        return None
+
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             # leave other operands, such as a PolyForm, their own __rmul__
             if not isinstance(other, (int, Fraction, str)):
                 return NotImplemented
             c = as_fraction(other)
-            if not c:
-                return Polynomial.zero(self.dim)
-            n = c.numerator
-            return Polynomial._raw(
-                self.dim, {e: v * n for e, v in self.num.items()}, self.den * c.denominator
-            )
+            return self._scaled(c.numerator, c.denominator)
         self._require_same_dim(other)
+        scalar = other._scalar()
+        if scalar:
+            return self._scaled(*scalar)
+        scalar = self._scalar()
+        if scalar:
+            return other._scaled(*scalar)
         acc: dict[tuple, int] = {}
         get = acc.get
         for e1, c1 in self.num.items():
@@ -288,20 +306,52 @@ class Polynomial:
         return Polynomial._raw(target, {e: v for e, v in acc.items() if v}, den * self.den)
 
     def map_monomials(self, dim: int, fn) -> Polynomial:
-        """The polynomial sum of c * w * x^e' over the terms c * x^e of self,
-        where ``fn(e)`` returns the pair (e', w): a length-``dim`` exponent
-        tuple and a rational weight.  Terms of weight 0 are dropped."""
+        """The polynomial sum of c * (w/v) * x^e' over the terms c * x^e of
+        self, where ``fn(e)`` returns the triple (e', w, v): a length-``dim``
+        exponent tuple and the int weight w over the int v > 0.  Terms of
+        weight 0 are dropped."""
         weighted = []
         for exp, c in self.num.items():
-            new, w = fn(exp)
+            new, w, v = fn(exp)
             if w:
-                weighted.append((new, c * w.numerator, w.denominator))
-        den = lcm(*(d for _, _, d in weighted))
+                weighted.append((new, c * w, v))
+        den = lcm(*(v for _, _, v in weighted))
         acc: dict[tuple, int] = {}
         get = acc.get
-        for new, n, d in weighted:
-            acc[new] = get(new, 0) + n * (den // d)
-        return Polynomial._raw(dim, {e: v for e, v in acc.items() if v}, den * self.den)
+        for new, n, v in weighted:
+            acc[new] = get(new, 0) + n * (den // v)
+        return Polynomial._raw(dim, {e: c for e, c in acc.items() if c}, den * self.den)
+
+    def simplex_integral(self, q: int) -> Polynomial:
+        """Integrate the trailing q variables over the standard q-simplex
+        {t >= 0, t_1 + ... + t_q <= 1}; the result lives in the leading
+        dim - q variables.
+
+        A monomial t^b integrates to b_1!...b_q!/(q + |b|)! (the Dirichlet
+        formula).  Every weight is taken as an int over the one denominator
+        (q + top)!, where top is the largest |b|, so the pass is integer
+        arithmetic plus one gcd.
+        """
+        n = self.dim - q
+        top = max((sum(e[n:]) for e in self.num), default=0)
+        fact = list(accumulate(range(1, q + top + 1), mul, initial=1))
+        den = fact[-1]
+        # the weight of t^b is prod(b!) * scale[|b|] over den
+        scale = [den // fact[q + s] for s in range(top + 1)]
+        return self._integrate_trailing(
+            n, lambda b: prod(map(fact.__getitem__, b)) * scale[sum(b)], den
+        )
+
+    def _integrate_trailing(self, n: int, weight, den: int) -> Polynomial:
+        """The polynomial in the leading n variables that a linear functional
+        on the trailing ones leaves: each term c * x^a * t^b contributes
+        c * weight(b)/den * x^a, for an int-valued ``weight`` and int den > 0."""
+        acc: dict[tuple, int] = {}
+        get = acc.get
+        for exp, c in self.num.items():
+            lead = exp[:n]
+            acc[lead] = get(lead, 0) + c * weight(exp[n:])
+        return Polynomial._raw(n, {e: c for e, c in acc.items() if c}, den * self.den)
 
     def homogeneous_parts(self) -> dict[int, Polynomial]:
         """Split into homogeneous pieces, keyed by total degree."""
@@ -361,29 +411,38 @@ _set_dim, _set_num, _set_den = (
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix by fraction-exact elimination."""
+    """Determinant of a square rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators, and the
+    integer matrix is reduced by Bareiss's fraction-free elimination, whose
+    every division is exact; the scales are divided out at the end.
+    """
     n = len(rows)
-    mat = [[as_fraction(v) for v in row] for row in rows]
-    for row in mat:
+    mat = []
+    scale = 1
+    for row in rows:
+        row = [as_fraction(v) for v in row]
         if len(row) != n:
             raise ValueError("matrix is not square")
-    sign = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
+        d = lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            pivot = next((r for r in range(k + 1, n) if mat[r][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
-        p = mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = mat[r][col] / p
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    result = sign
-    for i in range(n):
-        result *= mat[i][i]
-    return result
+        p, top = mat[k][k], mat[k]
+        for r in range(k + 1, n):
+            row = mat[r]
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+    return Fraction(sign * mat[-1][-1] if n else 1, scale)
 
 
 def invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -18,8 +18,14 @@ from .errors import ScenarioError
 from .forms import PolyForm
 from .polynomial import Polynomial, fraction_to_str
 
-# the exponent of a literal in exponent notation, digits possibly grouped by "_"
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# The rational literals that Python 3.11's ``Fraction`` reads, pinned so
+# that every supported interpreter reads the same ones: a sign, then p/q
+# with no spaces around "/", or a decimal with an optional exponent; "_"
+# only singly between digits.  Matched against the stripped string.
+_RATIONAL = re.compile(
+    r"[-+]?(?=\d|\.\d)(\d+(_\d+)*)?"
+    r"(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?([eE][-+]?(?P<exp>\d+(_\d+)*))?)"
+)
 # CPython's default int-to-str digit limit, for where the limit is off or absent
 _DEFAULT_DIGIT_LIMIT = 4300
 # Largest total degree of one monomial in a scenario polynomial.  Loading
@@ -35,28 +41,35 @@ MAX_POLY_EXPONENT = 64
 def parse_fraction(data) -> Fraction:
     """Parse an exact rational from an int or a string; reject floats.
 
-    A string may be anything ``Fraction`` reads: "p/q", an integer, a
-    decimal such as "-0.25" or exponent notation such as "3e-2".  An
-    exponent larger in magnitude than Python's int-to-str digit limit
-    (``sys.get_int_max_str_digits()``, or its default 4,300 where that
-    limit is off or absent) is refused before the value is built, since
-    building 10**exponent takes time without bound.
+    A string may be "p/q", an integer, a decimal such as "-0.25" or
+    exponent notation such as "3e-2", with digits grouped by single
+    underscores ("1_000") and whitespace around it, as Python 3.11's
+    ``Fraction`` reads them; the same strings are read on every
+    interpreter.  An exponent larger in magnitude than Python's
+    int-to-str digit limit (``sys.get_int_max_str_digits()``, or its
+    default 4,300 where that limit is off or absent) is refused before
+    the value is built, since building 10**exponent takes time without
+    bound.
     """
     if isinstance(data, bool):
         raise ScenarioError(f"expected a rational, got {data!r}")
     if isinstance(data, int):
         return Fraction(data)
     if isinstance(data, str):
-        exponent = _EXPONENT.search(data)
-        if exponent:
-            digits = exponent.group(1).replace("_", "").lstrip("0")
+        literal = _RATIONAL.fullmatch(data.strip())
+        if not literal:  # worded as Fraction words it, so reports keep their bytes
+            raise ScenarioError(
+                f"bad rational literal {data!r}: Invalid literal for Fraction: {data!r}"
+            )
+        if literal["exp"]:
+            digits = literal["exp"].replace("_", "").lstrip("0")
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:
                 raise ScenarioError(
                     f"bad rational literal {data!r}: exponent magnitude above {limit}"
                 )
         try:
-            return Fraction(data)
+            return Fraction(literal[0].replace("_", ""))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"bad rational literal {data!r}: {exc}") from None
     raise ScenarioError(

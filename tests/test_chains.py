@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocycle_forge import chains
 from cocycle_forge.chains import (
     AffineSimplex,
     Chain,
@@ -213,6 +214,21 @@ class TestIntegration:
         assert integrate_translated(w, tri).is_zero()
         seg = Chain.segment([1, 2, 3], [1, 2, 5])
         assert integrate_translated(PolyForm.dx(3, 0) + PolyForm.dx(3, 1), seg).is_zero()
+
+    def test_point_integral_has_no_minor(self, monkeypatch):
+        # a point's translated integral is its coefficient at g + vertex:
+        # no determinant and no simplex weights
+        def refuse(rows):
+            raise AssertionError("a point integral took a determinant")
+
+        monkeypatch.setattr(chains, "det", refuse)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        f = x * x * y * Fraction(1, 2) - y + 3
+        points = Chain.point([Fraction(1, 3), -2]) * 2 - Chain.point([0, 5])
+        moved = [[x + Fraction(1, 3), y - 2], [x, y + 5]]
+        assert integrate_translated(PolyForm.from_polynomial(f), points) == (
+            f.compose(moved[0]) * 2 - f.compose(moved[1])
+        )
 
 
 class TestStokes:

@@ -3,6 +3,8 @@
 import ast
 import gc
 from fractions import Fraction
+from itertools import permutations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -162,6 +164,35 @@ class TestLinearAlgebra:
     def test_det_permutation_sign(self):
         assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
 
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.booleans(),
+                st.booleans(),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_det_matches_leibniz(self, case):
+        rows, zero_pivot, singular = case
+        if rows and zero_pivot:
+            rows[0][0] = Fraction(0)
+        if len(rows) > 1 and singular:
+            # the last row, a combination of two others (2 * rows[0] when n = 2)
+            rows[-1] = [a * 3 - b for a, b in zip(rows[0], rows[-2])]
+        assert det(rows) == ref_det(rows)
+        if len(rows) > 1 and singular:
+            assert det(rows) == 0
+
     def test_invert_matrix_roundtrip(self):
         m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
         inv = invert_matrix(m)
@@ -246,6 +277,30 @@ def ref_partial(a, axis):
     return out
 
 
+def ref_det(rows):
+    """The Leibniz sum over permutations, each signed by its inversions."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def ref_simplex_integral(a, q):
+    """Integrate the trailing q variables over the standard q-simplex, one
+    Fraction a!/(q+|a|)! per monomial."""
+    out = {}
+    for e, c in a.items():
+        lead, b = e[: len(e) - q], e[len(e) - q :]
+        weight = Fraction(prod(factorial(k) for k in b), factorial(q + sum(b)))
+        out = ref_add(out, {lead: c * weight})
+    return out
+
+
 def ref_evaluate(a, pt):
     total = Fraction(0)
     for e, c in a.items():
@@ -269,10 +324,16 @@ def terms_strategy(dim, max_degree=3, max_terms=4):
     return st.dictionaries(exps, coeff, max_size=max_terms).map(_clean)
 
 
+# a product with a constant factor (0, 1, -1 or 3/2) scales the other's numerators
+terms_or_constant = terms_strategy(2) | st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2)]
+).map(lambda c: _clean({(0, 0): c}))
+
+
 class TestAgainstFractionReference:
     """Every ring operation agrees with the dict-of-Fraction reference."""
 
-    @given(terms_strategy(2), terms_strategy(2))
+    @given(terms_or_constant, terms_or_constant)
     @settings(max_examples=80, deadline=None)
     def test_add_sub_mul(self, a, b):
         p, q = Polynomial(2, a), Polynomial(2, b)
@@ -318,6 +379,14 @@ class TestAgainstFractionReference:
         clipped = ref_add(clipped, {(0, 0, 0): c})
         polys = [Polynomial(2, t) for t in args]
         assert dict(Polynomial(3, clipped).compose(polys).terms) == ref_compose(clipped, args, 2)
+
+    @given(st.integers(0, 4).flatmap(lambda q: st.tuples(st.just(q), terms_strategy(q + 2, 3, 5))))
+    @settings(max_examples=80, deadline=None)
+    def test_simplex_integral(self, case):
+        q, a = case
+        result = Polynomial(q + 2, a).simplex_integral(q)
+        assert result.dim == 2
+        assert dict(result.terms) == ref_simplex_integral(a, q)
 
     @given(terms_strategy(3), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)

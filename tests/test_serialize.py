@@ -44,9 +44,18 @@ class TestFractions:
         assert parse_fraction("2.5E1_0") == 25 * 10**9
         assert parse_fraction("1e4300") == 10**4300
 
-    # an exponent past 4,300 (the default str digit limit) is refused unbuilt
+    def test_digits_grouped_by_single_underscores(self):
+        assert parse_fraction("1_000") == 1000
+        assert parse_fraction("1_0/3") == Fraction(10, 3)
+
+    # an exponent past 4,300 (the default str digit limit) is refused unbuilt;
+    # spaces around "/" and stray underscores are refused on every interpreter
     @pytest.mark.parametrize(
-        "bad", [0.5, True, None, "1/0", "a/b", [1], "1e4301", "1E-5_000", "1e" + "9" * 5000]
+        "bad",
+        [
+            0.5, True, None, "1/0", "a/b", [1], "1e4301", "1E-5_000", "1e" + "9" * 5000,
+            "2 / 3", "1 /3", "1__0", "_1",
+        ],
     )
     def test_rejections(self, bad):
         with pytest.raises((ScenarioError, TypeError, ValueError)):

@@ -21,10 +21,9 @@ forms over one chain therefore builds them once per simplex.  The
 Jacobian minors of a form's components come first, and the minors are
 folded before composing: the components with a nonzero minor make one
 integrand sum_I det(E_I) f_I, composed with the substitution once.  A
-component whose minor vanishes never enters it.
-
-0-chains are signed combinations of points and integrate by signed
-evaluation.
+component whose minor vanishes never enters it.  A point is a 0-simplex
+and takes the same path: its integral is its coefficient composed with
+the parametrization, with no minor and no weights.
 """
 
 from __future__ import annotations
@@ -310,11 +309,6 @@ def integrate(form: PolyForm, chain: Chain) -> Fraction:
     """
     _check_match(form, chain)
     total = Fraction(0)
-    if chain.dim == 0:
-        f = form.coefficient(())
-        for simplex, coeff in chain.terms.items():
-            total += coeff * f.evaluate(simplex.vertices[0])
-        return total
     for simplex, coeff in chain.terms.items():
         total += coeff * _simplex_integral(form, simplex, translated=False).constant_term()
     return total

@@ -21,7 +21,7 @@ class DegreeCapExceededError(CocycleForgeError, ValueError):
         self.degree = degree
         self.cap = cap
         super().__init__(
-            f"word {label!r} has coefficient degree {degree}, above the cap {cap}"
+            f"word {label!r} would reach degree {degree}, above the cap {cap}"
         )
 
 

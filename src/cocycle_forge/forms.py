@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -394,8 +395,9 @@ def poincare_h(alpha: PolyForm) -> PolyForm:
 
     Acts monomial-by-monomial: a k-form component with coefficient
     monomial of total degree s contributes its radial contraction scaled
-    by 1/(k+s).  Satisfies d.h + h.d = id on forms of degree >= 1, and
-    h(df) = f - f(0) on functions.  On 0-forms the operator is zero.
+    by 1/(k+s), an int over lcm(k, ..., k + the component's degree).
+    Satisfies d.h + h.d = id on forms of degree >= 1, and h(df) = f - f(0)
+    on functions.  On 0-forms the operator is zero.
     """
     n = alpha.dim
     k = alpha.degree
@@ -403,15 +405,16 @@ def poincare_h(alpha: PolyForm) -> PolyForm:
         return PolyForm.zero(n, 0)
     comps: dict[Index, Polynomial] = {}
     for idx, poly in alpha.components.items():
+        den = lcm(*range(k, k + poly.degree() + 1))
         for j, axis in enumerate(idx):
             sign = -1 if j % 2 else 1
 
             def contract(exp):
                 new_exp = list(exp)
                 new_exp[axis] += 1
-                return tuple(new_exp), sign, k + sum(exp)
+                return tuple(new_exp), sign * (den // (k + sum(exp)))
 
-            _accumulate(comps, idx[:j] + idx[j + 1 :], poly.map_monomials(n, contract))
+            _accumulate(comps, idx[:j] + idx[j + 1 :], poly.map_monomials(n, contract, den))
     return PolyForm._raw(n, k - 1, comps)
 
 

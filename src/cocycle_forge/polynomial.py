@@ -305,21 +305,16 @@ class Polynomial:
                 acc[e] = get(e, 0) + c * v
         return Polynomial._raw(target, {e: v for e, v in acc.items() if v}, den * self.den)
 
-    def map_monomials(self, dim: int, fn) -> Polynomial:
-        """The polynomial sum of c * (w/v) * x^e' over the terms c * x^e of
-        self, where ``fn(e)`` returns the triple (e', w, v): a length-``dim``
-        exponent tuple and the int weight w over the int v > 0.  Terms of
-        weight 0 are dropped."""
-        weighted = []
-        for exp, c in self.num.items():
-            new, w, v = fn(exp)
-            if w:
-                weighted.append((new, c * w, v))
-        den = lcm(*(v for _, _, v in weighted))
+    def map_monomials(self, dim: int, fn, den: int) -> Polynomial:
+        """The sum of c * (w/den) * x^e' over the terms c * x^e of self, where
+        ``fn(e)`` returns a length-``dim`` exponent tuple e' and an int weight
+        w over the int ``den`` > 0: the one integer pass behind every exact
+        integral, the radial homotopy's 1/(k+s) and the simplex's weights."""
         acc: dict[tuple, int] = {}
         get = acc.get
-        for new, n, v in weighted:
-            acc[new] = get(new, 0) + n * (den // v)
+        for exp, c in self.num.items():
+            new, w = fn(exp)
+            acc[new] = get(new, 0) + c * w
         return Polynomial._raw(dim, {e: c for e, c in acc.items() if c}, den * self.den)
 
     def simplex_integral(self, q: int) -> Polynomial:
@@ -338,20 +333,12 @@ class Polynomial:
         den = fact[-1]
         # the weight of t^b is prod(b!) * scale[|b|] over den
         scale = [den // fact[q + s] for s in range(top + 1)]
-        return self._integrate_trailing(
-            n, lambda b: prod(map(fact.__getitem__, b)) * scale[sum(b)], den
-        )
 
-    def _integrate_trailing(self, n: int, weight, den: int) -> Polynomial:
-        """The polynomial in the leading n variables that a linear functional
-        on the trailing ones leaves: each term c * x^a * t^b contributes
-        c * weight(b)/den * x^a, for an int-valued ``weight`` and int den > 0."""
-        acc: dict[tuple, int] = {}
-        get = acc.get
-        for exp, c in self.num.items():
-            lead = exp[:n]
-            acc[lead] = get(lead, 0) + c * weight(exp[n:])
-        return Polynomial._raw(n, {e: c for e, c in acc.items() if c}, den * self.den)
+        def weigh(exp):
+            b = exp[n:]
+            return exp[:n], prod(map(fact.__getitem__, b)) * scale[sum(b)]
+
+        return self.map_monomials(n, weigh, den)
 
     def homogeneous_parts(self) -> dict[int, Polynomial]:
         """Split into homogeneous pieces, keyed by total degree."""

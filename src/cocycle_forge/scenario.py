@@ -180,8 +180,9 @@ def load_scenario(path: str) -> ScenarioConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an int past the str digit limit;
+        # RecursionError: nesting deeper than the parser recurses
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from None
     _require(isinstance(data, dict), "scenario must be a JSON object")
     refuse_unknown_keys(

@@ -432,6 +432,18 @@ class TestExitCodes:
         assert report["error"]["type"] == "ScenarioError"
         assert f"{literal!r}: exponent magnitude above" in report["error"]["message"]
 
+    def test_huge_integer_literal_in_scenario_is_config_error(self, capsys, tmp_path):
+        # json.load refuses an int literal past the 4300-digit str limit
+        # with a plain ValueError, not a JSONDecodeError
+        text = Path(R1).read_text()
+        assert '"seed": 5' in text
+        path = tmp_path / "huge_seed.json"
+        path.write_text(text.replace('"seed": 5', '"seed": 1' + "0" * 4999))
+        code, report = run_main(capsys, "build-cocycle", "--scenario", str(path))
+        assert code == 2
+        assert report["error"]["type"] == "ScenarioError"
+        assert report["error"]["message"].startswith(f"scenario {path} is not valid JSON: ")
+
     def test_unprintable_translation_label_is_named_error(self, capsys):
         # 10**4300 has 4301 digits, one past the str limit, so T(...) cannot be named
         code, report = run_main(

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,36 @@ def reference_pullback(map_components, alpha):
             piece = wedge(piece, differentials[axis])
         result = result + piece
     return result
+
+
+def ref_poincare_h(degree, comps):
+    """h(x^a dx_I) = sum_j (-1)^j x^(a + e_{I_j}) / (k + |a|) dx_{I minus I_j},
+    one Fraction per monomial and position, on {index: {exponent: Fraction}}
+    dicts; shares no code with the package."""
+    out = {}
+    for idx, terms in comps.items():
+        for a, c in terms.items():
+            for j, axis in enumerate(idx):
+                exp = tuple(e + (i == axis) for i, e in enumerate(a))
+                slot = out.setdefault(idx[:j] + idx[j + 1 :], {})
+                slot[exp] = slot.get(exp, Fraction(0)) + (-1) ** j * c / (degree + sum(a))
+    out = {i: {e: c for e, c in t.items() if c} for i, t in out.items()}
+    return {i: t for i, t in out.items() if t}
+
+
+@st.composite
+def form_terms(draw):
+    """(dim, degree, {index: {exponent: Fraction}}) for a form on R^1..R^4
+    whose coefficients reach total degree 8, so 1/(k+s) spans many k+s."""
+    dim = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, dim))
+    indices = draw(
+        st.lists(st.sampled_from(list(combinations(range(dim), degree))), unique=True, max_size=3)
+    )
+    exps = st.tuples(*[st.integers(0, 8 // dim)] * dim)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    comps = {idx: draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)) for idx in indices}
+    return dim, degree, comps
 
 
 @st.composite
@@ -249,6 +280,17 @@ class TestHomotopyOperator:
         if w.degree == 0:
             return
         assert ext_d(poincare_h(w)) + poincare_h(ext_d(w)) == w
+
+    @given(form_terms())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_monomial_reference(self, case):
+        dim, degree, comps = case
+        w = PolyForm(dim, degree, {i: Polynomial(dim, t) for i, t in comps.items()})
+        h = poincare_h(w)
+        assert (h.dim, h.degree) == (dim, max(degree - 1, 0))
+        assert {i: dict(p.terms) for i, p in h.components.items()} == ref_poincare_h(
+            degree, comps
+        )
 
     def test_degree_zero_recovers_value_at_origin(self):
         rng = seeded("h0")

@@ -74,7 +74,7 @@ def ref_poincare_h(degree, comps):
 @st.composite
 def form_terms(draw):
     """(dim, degree, {index: {exponent: Fraction}}) for a form on R^1..R^4
-    whose coefficients reach total degree 8, so 1/(k+s) spans many k+s."""
+    whose coefficients have total degree up to 8, so 1/(k+s) spans many k+s."""
     dim = draw(st.integers(1, 4))
     degree = draw(st.integers(0, dim))
     indices = draw(

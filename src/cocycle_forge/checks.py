@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .chains import Chain, boundary, integrate, pushforward, require_cycle
 from .cochain import Cochain, F_gamma, delta_prime, f_gamma
@@ -311,7 +312,8 @@ def fgamma_suite(dim: int, samples: int, seed: int) -> list[dict]:
 
         def dprime_intertwines(_):
             theta = random_form(rng, dim, rng.randint(gamma.dim, dim), 2)
-            c = Cochain(1, theta.degree, dim, lambda g: g.pullback_form(theta))
+            # both sides read c at a, b and a b: cache it
+            c = Cochain(1, theta.degree, dim, cache(lambda g: g.pullback_form(theta)))
             lhs = delta_prime(F_gamma(c, gamma))
             rhs = F_gamma(delta_prime(c), gamma)
             a = PolyDiffeo.translation(random_vector(rng, dim))

@@ -41,7 +41,7 @@ from .checks import (
 )
 from .diffeo import GroupPresentation
 from .errors import CocycleForgeError, ScenarioError
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import MAX_SAMPLES, ScenarioConfig, load_scenario
 from .serialize import json_ready
 
 
@@ -124,6 +124,8 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if args.samples is not None:
         if args.samples < 0:
             raise ScenarioError("--samples must be >= 0")
+        if args.samples > MAX_SAMPLES:
+            raise ScenarioError(f"--samples may be at most {MAX_SAMPLES}")
         config.samples = args.samples
     if args.seed is not None:
         config.seed = args.seed

@@ -7,11 +7,11 @@ q-forms, on which the group acts from the right by pullback,
 w . g = g^* w.  ``q=None`` means M = R, the reals as a trivial module,
 where the cocycle c and the trivializing cochain b live.
 
-Cochains are lazy evaluators with memo tables rather than tables of
-values: the groups here are infinite, so identities are only ever
-checked on sampled tuples.  Evaluators must be pure; the memo is then
-just a cache, and concurrent evaluation is linearizable because cache
-writes are idempotent (same key, same value).
+Cochains are plain typed functions, not tables of values: the groups
+here are infinite, so identities are only ever checked on sampled
+tuples.  Each call checks its arguments and its value, and keeps
+nothing.  Evaluators must be pure: the descent levels phi_i, whose values
+are read again, are cached where ``zigzag.build_phi_sequence`` builds them.
 
 One group differential serves both modules, in the nonhomogeneous
 convention
@@ -54,7 +54,7 @@ class Cochain:
     pullback; ``None`` means the reals as a trivial module.
     """
 
-    __slots__ = ("p", "q", "dim", "_evaluator", "_memo")
+    __slots__ = ("p", "q", "dim", "_evaluator")
 
     def __init__(
         self,
@@ -69,7 +69,6 @@ class Cochain:
         self.q = q
         self.dim = dim
         self._evaluator = evaluator
-        self._memo: dict[tuple, PolyForm | Fraction] = {}
 
     @classmethod
     def of_form(cls, form: PolyForm) -> Cochain:
@@ -92,20 +91,17 @@ class Cochain:
                 raise DimensionMismatchError(
                     f"cochain on R^{self.dim} called with a map of R^{g.dim}"
                 )
-        cached = self._memo.get(gs)
-        if cached is None:
-            cached = self._evaluator(*gs)
-            if self.q is None:
-                cached = as_fraction(cached)
-            elif not isinstance(cached, PolyForm):
-                raise TypeError("cochain evaluator must return a PolyForm")
-            elif cached.degree != self.q or cached.dim != self.dim:
-                raise ValueError(
-                    f"evaluator returned a degree-{cached.degree} form on "
-                    f"R^{cached.dim}, expected degree {self.q} on R^{self.dim}"
-                )
-            self._memo[gs] = cached
-        return cached
+        value = self._evaluator(*gs)
+        if self.q is None:
+            return as_fraction(value)
+        if not isinstance(value, PolyForm):
+            raise TypeError("cochain evaluator must return a PolyForm")
+        if value.degree != self.q or value.dim != self.dim:
+            raise ValueError(
+                f"evaluator returned a degree-{value.degree} form on "
+                f"R^{value.dim}, expected degree {self.q} on R^{self.dim}"
+            )
+        return value
 
     def __repr__(self):
         return f"Cochain(p={self.p}, q={self.q}, dim={self.dim})"

@@ -53,7 +53,7 @@ class Polynomial:
     nonzero ints and ``den`` is a positive int, kept reduced so that
     gcd(den, every numerator) = 1.  Equal polynomials therefore have
     equal ``num`` and ``den``, and instances hash on them, so they can
-    key memo tables.  ``terms`` is a read-only view of the coefficients
+    key dicts and caches.  ``terms`` is a read-only view of the coefficients
     as Fractions; the zero polynomial has no terms.
     """
 

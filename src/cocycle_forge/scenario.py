@@ -246,6 +246,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     _require(isinstance(verify, dict), "verify must be an object")
     refuse_unknown_keys(verify, ("samples", "max_word_length", "seed", "degree_cap"), "verify")
     samples = json_int(verify.get("samples", 100), "samples", 0)
+    _require(samples <= MAX_SAMPLES, f"samples may be at most {MAX_SAMPLES}, got {samples}")
     max_word_length = json_int(verify.get("max_word_length", 3), "max_word_length", 1)
     _require(
         max_word_length <= MAX_WORD_LENGTH,
@@ -298,6 +299,9 @@ MAX_EXPONENT = 1000
 # Largest verify.max_word_length: every sampled word composes up to that
 # many letters, so the cost of a sweep grows with it and nothing else bounds it.
 MAX_WORD_LENGTH = 100
+# Largest sample count, from the file or --samples.  The suites draw every
+# sampled tuple before the first check runs, so memory grows with the count.
+MAX_SAMPLES = 10_000
 # Largest scenario dimension.  Random forms walk all C(n, k) index tuples
 # (check-calculus at --samples 1 took 5.2 s on R^10 and over 60 s on R^12,
 # 2-core machine).  A monomial of total degree MAX_POLY_EXPONENT spread over
@@ -322,6 +326,8 @@ def _parse_factor(text: str, config: ScenarioConfig) -> PolyDiffeo:
                 f"T(...) needs {config.dimension} coordinates, got {len(parts)} in {text!r}"
             )
         base = PolyDiffeo.translation([parse_fraction(p) for p in parts])
+        # a translation is a group element only if it preserves the forms
+        GroupPresentation([base], config.group.preserved_forms, degree_cap=config.degree_cap)
     else:
         try:
             base = config.group.generator(atom)

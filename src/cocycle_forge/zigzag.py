@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .chains import Chain, integrate
@@ -118,14 +119,14 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
         raise ValueError("the descent needs a form of degree at least 1")
     phi0_value = -poincare_h(omega)
     phis = [Cochain(0, m - 1, omega.dim, lambda: phi0_value)]
-    # Level i holds its own d'phi_{i-1} and the product table, which the
-    # state is handed too.  Reading them through the state instead would
-    # tie the state and its memos into a reference cycle, left for the
-    # cyclic garbage collector to free.
+    # Each level caches its values, which the levels above read again.  It
+    # holds its own d'phi_{i-1} and the product table: reading them through
+    # the state would tie it and the level caches into a reference cycle.
     products = {}
     for i in range(1, m):
         dprime = delta_prime(phis[i - 1], group.degree_cap, products)
 
+        @cache
         def evaluator(*gs, _dp=dprime, _i=i):
             rhs = _dp(*gs)
             if _i % 2 == 0:
@@ -154,8 +155,8 @@ def _check_alpha(state: ZigzagState, alpha: Chain):
 def cocycle_eval(
     state: ZigzagState, alpha: Chain, gs: Sequence[PolyDiffeo]
 ) -> Fraction:
-    """The cocycle value int_alpha (d'phi_p)(g_1,...,g_{p+1}): the one-shot
-    form of ``cocycle``, which a loop over tuples should build once."""
+    """The cocycle value int_alpha (d'phi_p)(g_1,...,g_{p+1}); a loop over tuples
+    repeats only the cycle check of ``cocycle``, as the cached levels live in ``state``."""
     return cocycle(state, alpha)(*gs)
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_forge import cli
-from cocycle_forge.scenario import MAX_DIMENSION, MAX_WORD_LENGTH
+from cocycle_forge.scenario import MAX_DIMENSION, MAX_SAMPLES, MAX_WORD_LENGTH
 from cocycle_forge.serialize import MAX_POLY_EXPONENT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +121,36 @@ class TestEval:
         assert code == 2
         assert "error" in report
 
+    @pytest.mark.parametrize(
+        "dim, form, generator, tuple_",
+        [
+            # x dx on R^1 under x -> -x; T(1) moves it to (x+1) dx
+            (1, [{"idx": [1], "poly": [{"exps": [1], "coeff": "1"}]}],
+             {"type": "linear", "matrix": [["-1"]], "label": "neg"}, ["T(1)"]),
+            # x dx^dy on R^2 under T2; T(1,0) moves it to (x+1) dx^dy
+            (2, [{"idx": [1, 2], "poly": [{"exps": [1, 0], "coeff": "1"}]}],
+             {"type": "translation", "vector": ["0", "1"], "label": "T2"}, ["T(1,0)", "T2"]),
+        ],
+        ids=["r1-reflection", "r2-translation"],
+    )
+    def test_translation_outside_the_group_refused(
+        self, capsys, tmp_path, dim, form, generator, tuple_
+    ):
+        data = {
+            "dimension": dim,
+            "forms": [{"name": "w", "form": {"dim": dim, "degree": dim, "components": form}}],
+            "group": {"generators": [generator]},
+            "cycle": {"dim": 0, "simplices": [{"coeff": "1", "verts": [["0"] * dim]}]},
+        }
+        path = tmp_path / "not_invariant.json"
+        path.write_text(json.dumps(data))
+        code, report = run_main(
+            capsys, "eval-cocycle", "--scenario", str(path), "--tuple", *tuple_
+        )
+        assert code == 2
+        assert report["error"]["type"] == "InvarianceError"
+        assert report["error"]["message"].startswith(f"generator {tuple_[0]} does not preserve")
+
 
 class TestReports:
     def test_build_report_shape(self, capsys):
@@ -217,11 +247,21 @@ def _form_without_components(data):
     del data["forms"][0]["form"]["components"]
 
 
+def _samples_over_cap(data):
+    data["verify"]["samples"] = MAX_SAMPLES + 1
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, edit, message",
         [
             (["--samples", "-1"], None, "--samples must be >= 0"),
+            (["--samples", str(MAX_SAMPLES + 1)], None, f"--samples may be at most {MAX_SAMPLES}"),
+            (
+                [],
+                _samples_over_cap,
+                f"samples may be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}",
+            ),
             (["--degree-cap", "0"], None, "--degree-cap must be >= 1"),
             ([], _singular_rot90, "matrix for rot90 is singular"),
             ([], _sigma_on_x1, "shear polynomial may not involve x1"),
@@ -234,6 +274,8 @@ class TestExitCodes:
         ],
         ids=[
             "negative-samples",
+            "samples-flag-over-cap",
+            "samples-field-over-cap",
             "zero-degree-cap",
             "singular-matrix",
             "shear-on-own-axis",

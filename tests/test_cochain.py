@@ -57,19 +57,6 @@ class TestCochainBasics:
         with pytest.raises(DimensionMismatchError):
             c(PolyDiffeo.identity(3))
 
-    def test_values_memoized(self):
-        calls = []
-
-        def evaluator(g):
-            calls.append(g)
-            return PolyForm.constant_function(2, 1)
-
-        c = Cochain(1, 0, 2, evaluator)
-        g = PolyDiffeo.translation([1, 0])
-        c(g)
-        c(PolyDiffeo.translation([1, 0], "other-label"))
-        assert len(calls) == 1  # same map, label aside
-
     def test_real_cochain_type_checks(self):
         c = Cochain.constant(2, "2/3")
         assert c() == Fraction(2, 3)

@@ -12,6 +12,7 @@ from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.scenario import (
     MAX_DIMENSION,
     MAX_EXPONENT,
+    MAX_SAMPLES,
     MAX_WORD_LENGTH,
     load_scenario,
     parse_generator_spec,
@@ -157,6 +158,14 @@ class TestValidation:
         with pytest.raises(
             ScenarioError, match=f"max_word_length may be at most {MAX_WORD_LENGTH}, got"
         ):
+            load_scenario(write_scenario(tmp_path, data))
+
+    def test_samples_bound(self, tmp_path):
+        data = minimal_scenario()
+        data["verify"]["samples"] = MAX_SAMPLES
+        assert load_scenario(write_scenario(tmp_path, data)).samples == MAX_SAMPLES
+        data["verify"]["samples"] = MAX_SAMPLES + 1
+        with pytest.raises(ScenarioError, match=f"samples may be at most {MAX_SAMPLES}, got"):
             load_scenario(write_scenario(tmp_path, data))
 
     def test_dimension_bound(self, tmp_path):

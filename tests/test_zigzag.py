@@ -434,8 +434,42 @@ class TestProductsFormedOnce:
         assert (g1, g2) in pairs
 
 
+class TestLevelsCached:
+    """Each descent level evaluates once per distinct tuple; nothing else
+    keeps values, so the count of ``poincare_h`` calls after the build is
+    the count of distinct level tuples read."""
+
+    @staticmethod
+    def fresh_r3(monkeypatch):
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "r3_volume.json"
+        config = load_scenario(str(scenario))
+        state = config.build_state()
+        calls = []
+        h = zigzag.poincare_h
+        monkeypatch.setattr(zigzag, "poincare_h", lambda form: calls.append(form) or h(form))
+        return config, state, calls
+
+    def test_equal_maps_under_two_labels_evaluate_once(self, monkeypatch):
+        _, state, calls = self.fresh_r3(monkeypatch)
+        g = state.group.sample_words(1, 3, seed=2)[0]
+        first = state.phis[1](g)
+        assert state.phis[1](g.relabeled("other")) == first
+        assert len(calls) == 1
+
+    def test_second_cocycle_read_evaluates_no_level(self, monkeypatch):
+        config, state, calls = self.fresh_r3(monkeypatch)
+        gs = state.group.sample_words(3, 3, seed=5)
+        c = cocycle(state, config.cycle)
+        value = c(*gs)
+        # phi_2 on the four faces of the triple and phi_1 on the six
+        # distinct products of its consecutive runs
+        assert len(calls) == 10
+        assert cocycle(state, config.cycle)(*gs) == value
+        assert len(calls) == 10
+
+
 def test_descent_frees_without_cyclic_collector():
-    # the state, its levels and their memos form no reference cycle, so
+    # the state, its levels and their caches form no reference cycle, so
     # reference counting alone frees them once the last name is dropped
     scenario = Path(__file__).resolve().parent.parent / "scenarios" / "r3_volume.json"
     gc.collect()

@@ -489,15 +489,16 @@ def _closed_form_residual(c: Cochain, omega: PolyForm, rng) -> Fraction:
 
 def _random_shear_product(rng: random.Random, dim: int) -> PolyDiffeo:
     """A composite of one to three linear shears x_i -> x_i + c x_j;
-    determinant one."""
-    g = PolyDiffeo.identity(dim)
+    determinant one; the identity when every draw has i == j."""
+    g = None
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(dim)
         j = rng.randrange(dim)
         if i != j:
             step = Polynomial.variable(dim, j) * random_fraction(rng, 2, 2)
-            g = g.compose(PolyDiffeo.shear(dim, i, step))
-    return g
+            shear = PolyDiffeo.shear(dim, i, step)
+            g = shear if g is None else g.compose(shear)
+    return PolyDiffeo.identity(dim) if g is None else g
 
 
 def _transvection(rng: random.Random, radial: PolyForm) -> PolyDiffeo:

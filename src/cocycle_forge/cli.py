@@ -12,7 +12,8 @@ check-calculus         wedge/d/h/contraction/pullback identity sweeps
 stokes-check           exact Stokes on random simplices
 check-fgamma           transgression lemmas in the translation picture
 
-Every run prints exactly one JSON document to stdout.  All numbers in
+Every run prints exactly one JSON document to stdout, a refused command
+line included; only --help prints text instead.  All numbers in
 the document are exact rational strings; reports are byte-identical for
 identical (scenario, flags), which the test suite asserts by rerunning
 commands and comparing raw bytes.  Timing is therefore opt-in
@@ -39,9 +40,8 @@ from .checks import (
     stokes_suite,
     triviality_suite,
 )
-from .diffeo import GroupPresentation
 from .errors import CocycleForgeError, ScenarioError
-from .scenario import MAX_SAMPLES, ScenarioConfig, load_scenario
+from .scenario import ScenarioConfig, load_scenario
 from .serialize import json_ready
 
 
@@ -76,8 +76,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals print the failure document and exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _emit(_failure(None, None, ScenarioError(message)), pretty=False)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cocycle-forge",
         description=(
             "Exact construction and verification of group cocycles from "
@@ -120,27 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if args.samples is not None:
-        if args.samples < 0:
-            raise ScenarioError("--samples must be >= 0")
-        if args.samples > MAX_SAMPLES:
-            raise ScenarioError(f"--samples may be at most {MAX_SAMPLES}")
-        config.samples = args.samples
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.degree_cap is not None:
-        if args.degree_cap < 1:
-            raise ScenarioError("--degree-cap must be >= 1")
-        config.group = GroupPresentation(
-            config.group.generators,
-            config.group.preserved_forms,
-            degree_cap=args.degree_cap,
-            _trusted=True,
-        )
-    return config
-
-
 def run_command(command: str, config: ScenarioConfig, args) -> dict:
     """Execute one command against a loaded scenario; returns the report."""
     started = time.perf_counter()
@@ -163,25 +151,31 @@ def run_command(command: str, config: ScenarioConfig, args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_scenario(args.scenario), args)
+        config = load_scenario(
+            args.scenario, samples=args.samples, seed=args.seed, degree_cap=args.degree_cap
+        )
         report = run_command(args.command, config, args)
         payload = json_ready(report)
     except CocycleForgeError as exc:
-        failure = {
-            "command": args.command,
-            "scenario": args.scenario,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "pass": False,
-        }
-        _emit(failure, args)
+        _emit(_failure(args.command, args.scenario, exc), args.pretty)
         return 2
-    _emit(payload, args)
+    _emit(payload, args.pretty)
     return 0 if report["pass"] else 1
 
 
-def _emit(payload: dict, args):
+def _failure(command, scenario, exc: CocycleForgeError) -> dict:
+    """The document of a run refused with ``exc``."""
+    return {
+        "command": command,
+        "scenario": scenario,
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+        "pass": False,
+    }
+
+
+def _emit(payload: dict, pretty: bool):
     """Print one JSON document; every value in ``payload`` is already plain."""
-    if args.pretty:
+    if pretty:
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         text = json.dumps(payload, separators=(",", ":"), sort_keys=True)

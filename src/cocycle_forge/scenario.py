@@ -173,8 +173,17 @@ def parse_generator_spec(data, dim: int) -> PolyDiffeo:
         raise ScenarioError(str(exc)) from None
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    """Read, parse, and validate a scenario file."""
+def _setting(value, key: str, minimum: int | None, maximum: int | None) -> int:
+    """``value`` as the verify key ``key``: a JSON integer within the bounds."""
+    value = json_int(value, key, minimum)
+    _require(maximum is None or value <= maximum, f"{key} may be at most {maximum}, got {value}")
+    return value
+
+
+def load_scenario(path: str, *, samples=None, seed=None, degree_cap=None) -> ScenarioConfig:
+    """Read, parse, and validate a scenario file.  ``samples``, ``seed`` and
+    ``degree_cap``, when given, replace the verify keys of those names by the
+    same rules, read once every check on the file has passed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -244,20 +253,15 @@ def load_scenario(path: str) -> ScenarioConfig:
 
     verify = data.get("verify", {})
     _require(isinstance(verify, dict), "verify must be an object")
-    refuse_unknown_keys(verify, ("samples", "max_word_length", "seed", "degree_cap"), "verify")
-    samples = json_int(verify.get("samples", 100), "samples", 0)
-    _require(samples <= MAX_SAMPLES, f"samples may be at most {MAX_SAMPLES}, got {samples}")
-    max_word_length = json_int(verify.get("max_word_length", 3), "max_word_length", 1)
-    _require(
-        max_word_length <= MAX_WORD_LENGTH,
-        f"max_word_length may be at most {MAX_WORD_LENGTH}, got {max_word_length}",
-    )
-    seed = json_int(verify.get("seed", 0), "seed")
-    degree_cap = json_int(verify.get("degree_cap", DEFAULT_DEGREE_CAP), "degree_cap", 1)
-
-    group = GroupPresentation(
-        generators, [f for _, f in named_forms], degree_cap=degree_cap, _trusted=True
-    )
+    # each verify key's default and bounds
+    keys = {
+        "samples": (100, 0, MAX_SAMPLES),
+        "max_word_length": (3, 1, MAX_WORD_LENGTH),
+        "seed": (0, None, None),
+        "degree_cap": (DEFAULT_DEGREE_CAP, 1, MAX_DEGREE_CAP),
+    }
+    refuse_unknown_keys(verify, keys, "verify")
+    settings = {k: _setting(verify.get(k, d), k, lo, hi) for k, (d, lo, hi) in keys.items()}
 
     cycle_data = data.get("cycle")
     _require(cycle_data is not None, "scenario needs a cycle")
@@ -279,15 +283,20 @@ def load_scenario(path: str) -> ScenarioConfig:
     name = data.get("name", "")
     _require(isinstance(name, str), "scenario name must be a string")
 
+    for key, flag in (("samples", samples), ("seed", seed), ("degree_cap", degree_cap)):
+        if flag is not None:
+            settings[key] = _setting(flag, key, *keys[key][1:])
+    cap = settings.pop("degree_cap")
+    group = GroupPresentation(
+        generators, [f for _, f in named_forms], degree_cap=cap, _trusted=True
+    )
     return ScenarioConfig(
         name=name,
         dimension=dimension,
         named_forms=named_forms,
         group=group,
         cycle=cycle,
-        samples=samples,
-        max_word_length=max_word_length,
-        seed=seed,
+        **settings,
     )
 
 
@@ -302,6 +311,11 @@ MAX_WORD_LENGTH = 100
 # Largest sample count, from the file or --samples.  The suites draw every
 # sampled tuple before the first check runs, so memory grows with the count.
 MAX_SAMPLES = 10_000
+# Largest verify.degree_cap, from the file or --degree-cap.  Each doubling of
+# the degree reached costs about ten times the time: on r2, eval-cocycle of
+# six factors sigma*rot90 (degree 64) and T1 took 1.1 s, and of seven
+# (degree 128) 18.2 s, whole process on a 2-core machine.
+MAX_DEGREE_CAP = 128
 # Largest scenario dimension.  Random forms walk all C(n, k) index tuples
 # (check-calculus at --samples 1 took 5.2 s on R^10 and over 60 s on R^12,
 # 2-core machine).  A monomial of total degree MAX_POLY_EXPONENT spread over

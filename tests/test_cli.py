@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_forge import cli
-from cocycle_forge.scenario import MAX_DIMENSION, MAX_SAMPLES, MAX_WORD_LENGTH
+from cocycle_forge.diffeo import GroupPresentation
+from cocycle_forge.scenario import MAX_DEGREE_CAP, MAX_DIMENSION, MAX_SAMPLES, MAX_WORD_LENGTH
 from cocycle_forge.serialize import MAX_POLY_EXPONENT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -255,14 +256,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, edit, message",
         [
-            (["--samples", "-1"], None, "--samples must be >= 0"),
-            (["--samples", str(MAX_SAMPLES + 1)], None, f"--samples may be at most {MAX_SAMPLES}"),
+            (["--samples", "-1"], None, "samples must be an integer >= 0, got -1"),
+            (
+                ["--samples", str(MAX_SAMPLES + 1)],
+                None,
+                f"samples may be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}",
+            ),
             (
                 [],
                 _samples_over_cap,
                 f"samples may be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}",
             ),
-            (["--degree-cap", "0"], None, "--degree-cap must be >= 1"),
+            (["--degree-cap", "0"], None, "degree_cap must be an integer >= 1, got 0"),
             ([], _singular_rot90, "matrix for rot90 is singular"),
             ([], _sigma_on_x1, "shear polynomial may not involve x1"),
             ([], _form_as_string, "form must be an object"),
@@ -597,6 +602,101 @@ class TestExitCodes:
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["make-plots", "--scenario", R1])
+
+
+def edited_r2(tmp_path, edit):
+    """r2 with ``edit`` applied to its JSON, written to a file; returns the path."""
+    data = json.loads(Path(R2).read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestFlagsThroughLoader:
+    """--samples, --seed and --degree-cap are read by the loader's verify rules."""
+
+    def test_degree_cap_flag_over_cap(self, capsys):
+        flags = ["--degree-cap", str(MAX_DEGREE_CAP + 1)]
+        code, report = run_main(capsys, "build-cocycle", "--scenario", R2, *flags)
+        assert code == 2
+        assert report["error"] == {
+            "type": "ScenarioError",
+            "message": f"degree_cap may be at most {MAX_DEGREE_CAP}, got {MAX_DEGREE_CAP + 1}",
+        }
+
+    def test_bad_file_value_refused_under_flag(self, capsys, tmp_path):
+        path = edited_r2(tmp_path, lambda d: d["verify"].update(samples="abc"))
+        code, report = run_main(capsys, "build-cocycle", "--scenario", path, "--samples", "5")
+        assert code == 2
+        assert report["error"] == {
+            "type": "ScenarioError",
+            "message": "samples must be an integer >= 0, got 'abc'",
+        }
+
+    def test_file_fault_reported_before_flag_fault(self, capsys, tmp_path):
+        path = edited_r2(tmp_path, lambda d: d.update(name=7))
+        code, report = run_main(capsys, "build-cocycle", "--scenario", path, "--samples", "-1")
+        assert code == 2
+        assert report["error"] == {
+            "type": "ScenarioError",
+            "message": "scenario name must be a string",
+        }
+
+    def test_degree_cap_flag_builds_group_once(self, capsys, monkeypatch):
+        built = []
+        init = GroupPresentation.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("degree_cap"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupPresentation, "__init__", counting)
+        code, report = run_main(capsys, "build-cocycle", "--scenario", R2, "--degree-cap", "8")
+        assert code == 0
+        assert report["degree_cap"] == 8
+        assert built == [8]
+
+
+# (argv, the argument its refusal names)
+ARGUMENT_REFUSALS = [
+    (["check-calculus", "--scenario", R2, "--samples", "abc"], "--samples"),
+    (["check-calculus"], "--scenario"),
+    (["bogus", "--scenario", R2], "command"),
+    (["check-triviality", "--scenario", R2, "--subgroup", "nope"], "--subgroup"),
+    (["build-cocycle", "--scenario", R2, "--bogus"], "--bogus"),
+]
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize(
+        "argv, argument",
+        ARGUMENT_REFUSALS,
+        ids=[
+            "samples-not-int", "no-scenario", "unknown-command", "unknown-subgroup", "unknown-flag"
+        ],
+    )
+    def test_refusal_prints_failure_document(self, capsys, argv, argument):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] is None and report["scenario"] is None
+        assert report["pass"] is False
+        assert report["error"]["type"] == "ScenarioError"
+        assert argument in report["error"]["message"]
+
+    def test_refusal_through_module(self):
+        proc = run_proc("check-calculus", "--scenario", R2, "--samples", "abc")
+        assert proc.returncode == 2
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "ScenarioError"
+
+    def test_help_prints_text_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cocycle-forge")
 
 
 # JSON values a hand-edited dim or degree field might hold

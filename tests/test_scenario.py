@@ -10,6 +10,7 @@ from cocycle_forge.diffeo import PolyDiffeo
 from cocycle_forge.errors import InvarianceError, ScenarioError
 from cocycle_forge.polynomial import Polynomial
 from cocycle_forge.scenario import (
+    MAX_DEGREE_CAP,
     MAX_DIMENSION,
     MAX_EXPONENT,
     MAX_SAMPLES,
@@ -109,6 +110,23 @@ class TestValidation:
         pairs = [(g.label, f) for g in config.group.generators for f in config.forms]
         assert sorted(calls, key=repr) == sorted(pairs, key=repr)
 
+    def test_invariance_checked_once_per_pair_under_flags(self, monkeypatch):
+        calls = []
+        preserves = PolyDiffeo.preserves
+
+        def counting(g, alpha):
+            calls.append((g.label, alpha))
+            return preserves(g, alpha)
+
+        monkeypatch.setattr(PolyDiffeo, "preserves", counting)
+        config = load_scenario(
+            str(SCENARIO_DIR / "r2_area.json"), samples=5, seed=3, degree_cap=8
+        )
+        config.build_state()
+        assert (config.samples, config.seed, config.degree_cap) == (5, 3, 8)
+        pairs = [(g.label, f) for g in config.group.generators for f in config.forms]
+        assert sorted(calls, key=repr) == sorted(pairs, key=repr)
+
     def test_non_invariant_generator_named(self, tmp_path):
         data = minimal_scenario()
         data["group"]["generators"].append(
@@ -167,6 +185,33 @@ class TestValidation:
         data["verify"]["samples"] = MAX_SAMPLES + 1
         with pytest.raises(ScenarioError, match=f"samples may be at most {MAX_SAMPLES}, got"):
             load_scenario(write_scenario(tmp_path, data))
+
+    def test_degree_cap_bound(self, tmp_path):
+        data = minimal_scenario()
+        data["verify"]["degree_cap"] = MAX_DEGREE_CAP
+        path = write_scenario(tmp_path, data)
+        assert load_scenario(path).degree_cap == MAX_DEGREE_CAP
+        data["verify"]["degree_cap"] = MAX_DEGREE_CAP + 1
+        message = f"degree_cap may be at most {MAX_DEGREE_CAP}, got {MAX_DEGREE_CAP + 1}"
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(write_scenario(tmp_path, data))
+        assert str(info.value) == message
+
+    def test_flags_read_by_the_verify_rules(self, tmp_path):
+        path = write_scenario(tmp_path, minimal_scenario())
+        config = load_scenario(path, samples=MAX_SAMPLES, degree_cap=MAX_DEGREE_CAP)
+        assert (config.samples, config.degree_cap) == (MAX_SAMPLES, MAX_DEGREE_CAP)
+        refusals = [
+            ({"samples": -1}, "samples must be an integer >= 0, got -1"),
+            ({"samples": MAX_SAMPLES + 1}, f"samples may be at most {MAX_SAMPLES}, got"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"degree_cap": 0}, "degree_cap must be an integer >= 1, got 0"),
+            ({"degree_cap": MAX_DEGREE_CAP + 1}, f"degree_cap may be at most {MAX_DEGREE_CAP}"),
+        ]
+        for flags, message in refusals:
+            with pytest.raises(ScenarioError) as info:
+                load_scenario(path, **flags)
+            assert str(info.value).startswith(message)
 
     def test_dimension_bound(self, tmp_path):
         for n in (MAX_DIMENSION, MAX_DIMENSION + 1):

@@ -403,7 +403,8 @@ def cocycle_identity_suite(
     seed: int,
     max_word_length: int,
 ) -> list[dict]:
-    """Base primitive, staircase consistency, and the cocycle condition."""
+    """Base primitive, staircase consistency, the cocycle condition, and
+    point independence on at most 50 tuples."""
     checks = [_sweep("base_primitive", 1, lambda _: _base_residual(state))]
 
     level_samples = min(samples, 25)
@@ -424,16 +425,15 @@ def cocycle_identity_suite(
     checks.append(
         _sweep("cocycle_condition", samples, lambda k: dc(*tuples[k]), rational=True)
     )
-    return checks
+    return checks + point_independence_suite(state, min(samples, 50), seed, max_word_length)
 
 
 # -- closed form -------------------------------------------------------------
 
 
-def closed_form_scenario_check(
-    state: ZigzagState, samples: int, seed: int
-) -> list[dict]:
-    """Descent vs the exact translation value for the scenario's form."""
+def closed_form_suite(state: ZigzagState, samples: int, seed: int) -> list[dict]:
+    """Descent vs the exact translation value, for the scenario's form and
+    then for fresh random forms of the same dimension and degree."""
     omega = state.omega
     if not omega.is_constant_coefficient():
         raise ScenarioError(
@@ -447,7 +447,8 @@ def closed_form_scenario_check(
             samples,
             lambda _: _closed_form_residual(c, omega, rng),
             rational=True,
-        )
+        ),
+        closed_form_random_sweep(omega.dim, state.m, samples, seed),
     ]
 
 

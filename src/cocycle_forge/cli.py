@@ -31,12 +31,10 @@ import time
 from .checks import (
     build_suite,
     calculus_suite,
-    closed_form_random_sweep,
-    closed_form_scenario_check,
+    closed_form_suite,
     cocycle_identity_suite,
     eval_suite,
     fgamma_suite,
-    point_independence_suite,
     stokes_suite,
     triviality_suite,
 )
@@ -45,31 +43,22 @@ from .scenario import ScenarioConfig, load_scenario
 from .serialize import json_ready
 
 
-def _cocycle_identity(cfg: ScenarioConfig, args) -> list[dict]:
-    state = cfg.build_state()
-    return cocycle_identity_suite(
-        state, cfg.cycle, cfg.samples, cfg.seed, cfg.max_word_length
-    ) + point_independence_suite(state, min(cfg.samples, 50), cfg.seed, cfg.max_word_length)
-
-
-def _closed_form(cfg: ScenarioConfig, args) -> list[dict]:
-    state = cfg.build_state()
-    return closed_form_scenario_check(state, cfg.samples, cfg.seed) + [
-        closed_form_random_sweep(cfg.dimension, state.m, cfg.samples, cfg.seed)
-    ]
-
-
-# Every command and its runner, which returns the report's check records.  A
-# runner that needs the descent builds it before it validates anything else,
-# and looks its suites up when called, so a replaced suite takes effect.
+# Every command and the suite that returns its report's check records.  A
+# suite that needs the descent gets it built before it validates anything
+# else.  Each entry looks its suite up when called, so a replaced suite
+# takes effect.
 COMMANDS = {
     "build-cocycle": lambda cfg, args: build_suite(cfg.build_state()),
     "eval-cocycle": lambda cfg, args: eval_suite(cfg.build_state(), cfg, args.tuple),
-    "check-cocycle-identity": _cocycle_identity,
+    "check-cocycle-identity": lambda cfg, args: cocycle_identity_suite(
+        cfg.build_state(), cfg.cycle, cfg.samples, cfg.seed, cfg.max_word_length
+    ),
     "check-triviality": lambda cfg, args: triviality_suite(
         cfg.build_state(), cfg.cycle, cfg.samples, cfg.seed, cfg.max_word_length, args.subgroup
     ),
-    "check-closed-form": _closed_form,
+    "check-closed-form": lambda cfg, args: closed_form_suite(
+        cfg.build_state(), cfg.samples, cfg.seed
+    ),
     "check-calculus": lambda cfg, args: calculus_suite(cfg.group, cfg.samples, cfg.seed),
     "stokes-check": lambda cfg, args: stokes_suite(cfg.dimension, cfg.samples, cfg.seed),
     "check-fgamma": lambda cfg, args: fgamma_suite(cfg.dimension, cfg.samples, cfg.seed),

@@ -1,15 +1,17 @@
 """Polynomial diffeomorphisms of R^n and the groups they generate.
 
 A ``PolyDiffeo`` is a polynomial bijection whose inverse is again
-polynomial.  Maps built from both directions (generators, ``identity``,
-``translation``, ``linear``, ``shear`` and explicit maps) carry their
-inverse explicitly, and an untrusted pair is checked at construction to
-compose to the identity both ways, so invertibility never has to be
-decided later.  A composite built by ``compose`` stores its forward map
-and its two factors; its inverse is composed from theirs on first read,
-which most composites never see.  Groups of such maps are described by
-a ``GroupPresentation``: a list of labelled generators, each of which
-is required to preserve every distinguished form.
+polynomial, so invertibility never has to be decided later.  The public
+constructor checks that a (forward, inverse) pair composes to the
+identity both ways.  ``PolyDiffeo._raw`` is the one trusted path: the
+builders (``identity``, ``translation``, ``linear``, ``shear``,
+``inverted``, ``relabeled`` and ``compose``) construct their pairs
+correct and call it without the check.  A composite built by
+``compose`` stores its forward map and its two factors; its inverse is
+composed from theirs on first read, which most composites never see.
+Groups of such maps are described by a ``GroupPresentation``: a list of
+labelled generators, each of which is required to preserve every
+distinguished form.
 
 Composition can blow up polynomial degree exponentially (a shear of
 degree d composed with itself k times reaches degree d^k), so every
@@ -64,12 +66,7 @@ class PolyDiffeo:
     __slots__ = ("dim", "forward", "_inverse", "_factors", "label", "_degree", "_hash")
 
     def __init__(
-        self,
-        forward: Sequence[Polynomial],
-        inverse: Sequence[Polynomial],
-        label: str = "",
-        *,
-        _trusted: bool = False,
+        self, forward: Sequence[Polynomial], inverse: Sequence[Polynomial], label: str = ""
     ):
         fwd = tuple(forward)
         inv = tuple(inverse)
@@ -78,18 +75,25 @@ class PolyDiffeo:
         dim = fwd[0].dim
         _check_components(fwd, dim, "forward map")
         _check_components(inv, dim, "inverse map")
-        if not _trusted:
-            ident = tuple(Polynomial.variable(dim, i) for i in range(dim))
-            if tuple(f.compose(inv) for f in fwd) != ident:
-                raise ValueError(f"forward o inverse is not the identity ({label or 'unlabelled'})")
-            if tuple(f.compose(fwd) for f in inv) != ident:
-                raise ValueError(f"inverse o forward is not the identity ({label or 'unlabelled'})")
-        self._fill(dim, fwd, inv, None, str(label))
+        ident = tuple(Polynomial.variable(dim, i) for i in range(dim))
+        if tuple(f.compose(inv) for f in fwd) != ident:
+            raise ValueError(f"forward o inverse is not the identity ({label or 'unlabelled'})")
+        if tuple(f.compose(fwd) for f in inv) != ident:
+            raise ValueError(f"inverse o forward is not the identity ({label or 'unlabelled'})")
+        self._fill(fwd, inv, str(label), None)
 
-    def _fill(self, dim: int, forward: tuple, inverse, factors, label: str):
-        # ``inverse`` is None exactly when ``factors`` holds the (outer,
-        # inner, cap) of a composite whose inverse has not been read yet
-        _set_dim(self, dim)
+    @classmethod
+    def _raw(cls, forward: tuple, inverse, label: str, factors=None) -> PolyDiffeo:
+        """Trusted constructor for maps built correct: ``forward`` and
+        ``inverse`` are tuples of polynomials on one R^n that compose to the
+        identity both ways, or ``inverse`` is None and ``factors`` holds the
+        (outer, inner, cap) of a composite whose inverse has not been read."""
+        out = object.__new__(cls)
+        out._fill(forward, inverse, label, factors)
+        return out
+
+    def _fill(self, forward: tuple, inverse, label: str, factors):
+        _set_dim(self, forward[0].dim)
         _set_forward(self, forward)
         _set_inverse(self, inverse)
         _set_factors(self, factors)
@@ -105,7 +109,7 @@ class PolyDiffeo:
     @classmethod
     def identity(cls, dim: int) -> PolyDiffeo:
         xs = tuple(Polynomial.variable(dim, i) for i in range(dim))
-        return cls(xs, xs, "id", _trusted=True)
+        return cls._raw(xs, xs, "id")
 
     @classmethod
     def translation(cls, vector: Sequence, label: str = "") -> PolyDiffeo:
@@ -115,7 +119,7 @@ class PolyDiffeo:
         inv = tuple(x - c for x, c in zip(xs, vec))
         if not label:
             label = "T(" + ",".join(map(fraction_to_str, vec)) + ")"
-        return cls(fwd, inv, label, _trusted=True)
+        return cls._raw(fwd, inv, label)
 
     @classmethod
     def linear(cls, matrix: Sequence[Sequence], label: str = "") -> PolyDiffeo:
@@ -130,17 +134,12 @@ class PolyDiffeo:
         except ValueError:
             raise ValueError(f"matrix for {label or 'linear map'} is singular") from None
 
-        def as_map(mat):
-            out = []
-            for i in range(dim):
-                acc = Polynomial.zero(dim)
-                for j in range(dim):
-                    if mat[i][j]:
-                        acc = acc + Polynomial.variable(dim, j) * mat[i][j]
-                out.append(acc)
-            return tuple(out)
+        units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
 
-        return cls(as_map(rows), as_map(inv_rows), label or "linear", _trusted=True)
+        def as_map(mat):
+            return tuple(Polynomial(dim, {u: v for u, v in zip(units, row) if v}) for row in mat)
+
+        return cls._raw(as_map(rows), as_map(inv_rows), label or "linear")
 
     @classmethod
     def shear(cls, dim: int, axis: int, poly: Polynomial, label: str = "") -> PolyDiffeo:
@@ -158,13 +157,11 @@ class PolyDiffeo:
         xs = [Polynomial.variable(dim, i) for i in range(dim)]
         fwd = (*xs[:axis], xs[axis] + poly, *xs[axis + 1 :])
         inv = (*xs[:axis], xs[axis] - poly, *xs[axis + 1 :])
-        return cls(fwd, inv, label or f"shear{axis + 1}", _trusted=True)
+        return cls._raw(fwd, inv, label or f"shear{axis + 1}")
 
     def relabeled(self, label: str) -> PolyDiffeo:
         """The same map under another label; a pending inverse stays pending."""
-        out = object.__new__(PolyDiffeo)
-        out._fill(self.dim, self.forward, self._inverse, self._factors, str(label))
-        return out
+        return PolyDiffeo._raw(self.forward, self._inverse, str(label), self._factors)
 
     # -- queries -----------------------------------------------------------
 
@@ -177,7 +174,9 @@ class PolyDiffeo:
 
     def degree(self) -> int:
         """The degree of the forward map: the largest total degree of its
-        components.  The degree cap reads this and nothing else."""
+        components.  ``compose`` checks the cap against the product of two
+        of these; reading a composite's inverse checks it against the
+        product of the inverses' degrees."""
         return self._degree
 
     def is_identity(self) -> bool:
@@ -210,13 +209,11 @@ class PolyDiffeo:
         if bound > degree_cap:
             raise DegreeCapExceededError(label or "composite", bound, degree_cap)
         fwd = tuple(c.compose(other.forward) for c in self.forward)
-        out = object.__new__(PolyDiffeo)
-        out._fill(self.dim, fwd, None, (self, other, degree_cap), label)
-        return out
+        return PolyDiffeo._raw(fwd, None, label, (self, other, degree_cap))
 
     def inverted(self) -> PolyDiffeo:
         label = f"{self.label}^-1" if self.label else ""
-        return PolyDiffeo(self.inverse, self.forward, label, _trusted=True)
+        return PolyDiffeo._raw(self.inverse, self.forward, label)
 
     def pullback_form(self, alpha: PolyForm) -> PolyForm:
         """g^* alpha, the pullback of a form along this map."""

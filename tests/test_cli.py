@@ -320,6 +320,23 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "DegreeCapExceededError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-triviality", "--subgroup", "stabilizer", "--samples", "5"],
+            ["check-cocycle-identity", "--samples", "60"],
+        ],
+    )
+    def test_product_of_sampled_words_over_the_cap_ends_the_command(self, capsys, argv):
+        # each sampled word stays under the cap, but a product that a check
+        # forms from two of them is not retried
+        code, report = run_main(capsys, *argv, "--scenario", R2, "--degree-cap", "4")
+        assert code == 2
+        error = report["error"]
+        assert error["type"] == "DegreeCapExceededError"
+        assert "above the cap 4" in error["message"]
+        assert "sample_words" not in error["message"]
+
     def test_huge_power_is_config_error_in_bounded_time(self):
         # sigma^k stays at degree 2, so no degree cap ever refuses it
         proc = run_proc(

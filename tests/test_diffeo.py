@@ -14,7 +14,7 @@ from cocycle_forge.errors import (
 )
 from cocycle_forge.forms import PolyForm, ext_d, pullback
 from cocycle_forge.polynomial import Polynomial
-from cocycle_forge.sampling import random_form
+from cocycle_forge.sampling import random_form, random_polynomial, random_vector
 from cocycle_forge.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -85,6 +85,45 @@ class TestConstructors:
         assert a == b
         assert hash(a) == hash(b)
         assert a != PolyDiffeo.translation([0, 1])
+
+
+def trusted_builds(rng, dim):
+    """One map from each builder that skips the inverse check, on R^dim."""
+    translation = PolyDiffeo.translation(random_vector(rng, dim))
+    linear = None
+    while linear is None:
+        try:
+            linear = PolyDiffeo.linear([random_vector(rng, dim) for _ in range(dim)])
+        except ValueError:  # singular: draw again
+            pass
+    axis = rng.randrange(dim)
+    terms = random_polynomial(rng, dim).terms
+    poly = Polynomial(dim, {e[:axis] + (0,) + e[axis + 1 :]: c for e, c in terms.items()})
+    shear = PolyDiffeo.shear(dim, axis, poly)
+    composite = shear.compose(linear).compose(translation)
+    return [
+        PolyDiffeo.identity(dim),
+        translation,
+        linear,
+        shear,
+        composite,
+        composite.relabeled("c"),  # its inverse is still pending
+    ]
+
+
+class TestTrustedBuilders:
+    """Every map built without the inverse check is a real inverse pair."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_checked_constructor_accepts_every_trusted_build(self, dim):
+        rng = random.Random(2500 + dim)
+        for _ in range(5):
+            for g in trusted_builds(rng, dim):
+                for h in (g, g.inverted()):
+                    checked = PolyDiffeo(h.forward, h.inverse, h.label)
+                    assert checked == h
+                    assert checked.inverse == h.inverse
+                    assert checked.label == h.label
 
 
 class TestComposition:

@@ -5,8 +5,9 @@ polynomial, so invertibility never has to be decided later.  The public
 constructor checks that a (forward, inverse) pair composes to the
 identity both ways.  ``PolyDiffeo._raw`` is the one trusted path: the
 builders (``identity``, ``translation``, ``linear``, ``shear``,
-``inverted``, ``relabeled`` and ``compose``) construct their pairs
-correct and call it without the check.  A composite built by
+``inverted``, ``relabeled``, ``compose`` and the first letter of
+``GroupPresentation.word``) construct their pairs correct and call it
+without the check.  A composite built by
 ``compose`` stores its forward map and its two factors; its inverse is
 composed from theirs on first read, which most composites never see.
 Groups of such maps are described by a ``GroupPresentation``: a list of
@@ -47,6 +48,11 @@ def _check_components(comps: Sequence[Polynomial], dim: int, what: str):
             raise DimensionMismatchError(
                 f"{what} component lives in dimension {c.dim}, not {dim}"
             )
+
+
+def _require_positive_dim(dim: int, what: str):
+    if dim < 1:
+        raise ValueError(f"{what} of R^{dim}: the dimension must be at least 1")
 
 
 def _map_degree(comps: Sequence[Polynomial]) -> int:
@@ -108,12 +114,14 @@ class PolyDiffeo:
 
     @classmethod
     def identity(cls, dim: int) -> PolyDiffeo:
+        _require_positive_dim(dim, "identity map")
         xs = tuple(Polynomial.variable(dim, i) for i in range(dim))
         return cls._raw(xs, xs, "id")
 
     @classmethod
     def translation(cls, vector: Sequence, label: str = "") -> PolyDiffeo:
         vec = tuple(map(as_fraction, vector))
+        _require_positive_dim(len(vec), "translation")
         xs = [Polynomial.variable(len(vec), i) for i in range(len(vec))]
         fwd = tuple(x + c for x, c in zip(xs, vec))
         inv = tuple(x - c for x, c in zip(xs, vec))
@@ -126,6 +134,7 @@ class PolyDiffeo:
         """The map x -> A x for an invertible rational matrix A."""
         rows = [[as_fraction(v) for v in row] for row in matrix]
         dim = len(rows)
+        _require_positive_dim(dim, "linear map")
         for row in rows:
             if len(row) != dim:
                 raise DimensionMismatchError("linear map needs a square matrix")
@@ -347,16 +356,33 @@ class GroupPresentation:
         inverse; the empty word is the identity.  Letters apply left to
         right as maps: word [1, 2] is generators[0] composed after
         generators[1] under (g.h)(x) = g(h(x)).
+
+        The result equals the product id·g_1·g_2··· in forward map, inverse
+        and label, but the first letter is not composed onto the identity:
+        id·g_1 takes g_1's forward map and, when it is known and within the
+        cap, g_1's inverse; otherwise its inverse is built on first read as
+        a composite's, under the same cap.
         """
-        out = PolyDiffeo.identity(self.dim)
+        cap = self.degree_cap
+        out = None
         for letter in letters:
             if letter == 0 or abs(letter) > len(self.generators):
                 raise ValueError(f"letter {letter} out of range")
             g = self.generators[abs(letter) - 1]
             if letter < 0:
                 g = g.inverted()
-            out = out.compose(g, degree_cap=self.degree_cap)
-        return out
+            if out is not None:
+                out = out.compose(g, degree_cap=cap)
+                continue
+            label = f"id*{g.label}" if g.label else ""
+            if g._degree > cap:
+                raise DegreeCapExceededError(label or "composite", g._degree, cap)
+            if g._inverse is not None and _map_degree(g._inverse) <= cap:
+                out = PolyDiffeo._raw(g.forward, g._inverse, label)
+            else:
+                factors = (PolyDiffeo.identity(self.dim), g, cap)
+                out = PolyDiffeo._raw(g.forward, None, label, factors)
+        return PolyDiffeo.identity(self.dim) if out is None else out
 
     def sample_words(
         self, count: int, max_length: int, seed: int

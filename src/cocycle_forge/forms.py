@@ -171,7 +171,13 @@ class PolyForm:
         return PolyForm._raw(self.dim, self.degree, {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other: PolyForm) -> PolyForm:
-        return self + (-other)
+        """self + (-other) in one pass: only a component that self lacks is negated."""
+        self._require_compatible(other)
+        comps = dict(self.components)
+        for idx, p in other.components.items():
+            s = comps.get(idx)
+            comps[idx] = -p if s is None else s - p
+        return PolyForm._raw(self.dim, self.degree, comps)
 
     def __mul__(self, scalar) -> PolyForm:
         """Multiply by a rational or polynomial scalar function."""
@@ -303,16 +309,12 @@ def ext_d(alpha: PolyForm) -> PolyForm:
     n = alpha.dim
     comps: dict[Index, Polynomial] = {}
     for idx, poly in alpha.components.items():
-        members = set(idx)
-        for axis in range(n):
-            if axis in members:
+        for axis, dp in poly.gradient().items():
+            if axis in idx:
                 continue
-            dp = poly.partial(axis)
-            if dp.is_zero():
-                continue
-            pos = sum(1 for a in idx if a < axis)
-            merged = tuple(sorted(idx + (axis,)))
-            _accumulate(comps, merged, dp if pos % 2 == 0 else -dp)
+            # dx_axis moves right past the pos axes of idx below it
+            pos = bisect_left(idx, axis)
+            _accumulate(comps, idx[:pos] + (axis,) + idx[pos:], -dp if pos % 2 else dp)
     return PolyForm._raw(n, alpha.degree + 1, comps)
 
 
@@ -365,8 +367,7 @@ def pullback(map_components: Sequence[Polynomial], alpha: PolyForm) -> PolyForm:
     for idx in alpha.components:
         for a in idx:
             if a not in rows:
-                partials = ((j, comps[a].partial(j)) for j in range(m))
-                rows[a] = [(j, d) for j, d in partials if not d.is_zero()]
+                rows[a] = comps[a].gradient().items()
     out: dict[Index, Polynomial] = {}
     for idx, poly in alpha.components.items():
         # expand dg_{i1}^...^dg_{ik} one row at a time over the coefficient

@@ -149,8 +149,24 @@ class Polynomial:
             )
 
     def __add__(self, other):
+        return self._plus(other, False)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Polynomial._raw(self.dim, {e: -c for e, c in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
+
+    def __rsub__(self, other):
+        return Polynomial.constant(self.dim, other)._plus(self, True)
+
+    def _plus(self, other, negate: bool) -> Polynomial:
+        """self + other, or self - other when ``negate``, in one pass over
+        other's terms: no negated copy is built."""
         if not isinstance(other, Polynomial):
-            return self + Polynomial.constant(self.dim, other)
+            other = Polynomial.constant(self.dim, other)
         self._require_same_dim(other)
         d1, d2 = self.den, other.den
         if d1 == d2:
@@ -159,26 +175,16 @@ class Polynomial:
             g = gcd(d1, d2)
             scale = d1 // g
             num = {e: c * (d2 // g) for e, c in self.num.items()}
+        den = d2 * scale
+        if negate:
+            scale = -scale
         for exp, c in other.num.items():
             s = num.get(exp, 0) + c * scale
             if s:
                 num[exp] = s
             else:
                 del num[exp]
-        return Polynomial._raw(self.dim, num, d2 * scale)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial._raw(self.dim, {e: -c for e, c in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.dim, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return Polynomial._raw(self.dim, num, den)
 
     def _scaled(self, n: int, d: int) -> Polynomial:
         """self * n/d for ints n and d > 0; self itself when n/d is 1."""
@@ -249,6 +255,18 @@ class Polynomial:
             acc[tuple(new)] = c * e
         return Polynomial._raw(self.dim, acc, self.den)
 
+    def gradient(self) -> dict[int, Polynomial]:
+        """The nonzero partial derivatives, keyed by ascending axis, from one
+        pass over the terms; an axis whose partial is zero is absent."""
+        accs: list[dict[tuple, int]] = [{} for _ in range(self.dim)]
+        for exp, c in self.num.items():
+            for axis, e in enumerate(exp):
+                if e:
+                    accs[axis][exp[:axis] + (e - 1,) + exp[axis + 1 :]] = c * e
+        return {
+            axis: Polynomial._raw(self.dim, acc, self.den) for axis, acc in enumerate(accs) if acc
+        }
+
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.dim:
             raise DimensionMismatchError(
@@ -276,6 +294,13 @@ class Polynomial:
         for a in args:
             if a.dim != target:
                 raise DimensionMismatchError("substitution polynomials disagree on dimension")
+        if len(self.num) == 1:
+            ((exp, c),) = self.num.items()
+            degree = sum(exp)
+            if degree == 0:  # a constant stays itself
+                return Polynomial._raw(target, {(0,) * target: c}, self.den)
+            if degree == 1:  # c * x_i becomes c * args[i]
+                return args[exp.index(1)]._scaled(c, self.den)
         # powers[i][e] is args[i]**e for 1 <= e <= the top exponent of x_i,
         # and one transposing pass over the exponent tuples finds every top.
         # args[i]**e has denominator args[i].den**e (Gauss's lemma), so den

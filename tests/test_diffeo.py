@@ -72,6 +72,19 @@ class TestConstructors:
         with pytest.raises(ValueError):
             PolyDiffeo([x + 1], [x + 1])  # not mutually inverse
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PolyDiffeo.identity(0),
+            lambda: PolyDiffeo.translation([]),
+            lambda: PolyDiffeo.linear([]),
+        ],
+        ids=["identity", "translation", "linear"],
+    )
+    def test_empty_dimension_is_refused(self, build):
+        with pytest.raises(ValueError, match=r"R\^0: the dimension must be at least 1"):
+            build()
+
     def test_immutable(self):
         g = area_shear()
         with pytest.raises(AttributeError):
@@ -249,6 +262,15 @@ class TestPullbackAction:
         assert sigma.pullback_form(ext_d(w)) == ext_d(sigma.pullback_form(w))
 
 
+def identity_first_product(group, letters):
+    """The word as the identity composed with each letter in turn."""
+    out = PolyDiffeo.identity(group.dim)
+    for letter in letters:
+        g = group.generators[abs(letter) - 1]
+        out = out.compose(g if letter > 0 else g.inverted(), degree_cap=group.degree_cap)
+    return out
+
+
 class TestGroupPresentation:
     def make_group(self):
         gens = [
@@ -281,6 +303,57 @@ class TestGroupPresentation:
             group.word([0])
         with pytest.raises(ValueError):
             group.word([4])
+
+    @pytest.mark.parametrize("name", ["r1_line", "r2_area", "r3_volume", "r4_symplectic"])
+    def test_word_equals_identity_first_product(self, name):
+        group = load_scenario(str(SCENARIO_DIR / f"{name}.json")).group
+        rng = random.Random(f"diffeo:word:{name}")
+        k = len(group.generators)
+        for _ in range(12):
+            letters = [rng.choice((1, -1)) * rng.randint(1, k) for _ in range(rng.randint(1, 3))]
+            word = group.word(letters)
+            ref = identity_first_product(group, letters)
+            assert word.forward == ref.forward
+            assert word.label == ref.label
+            assert word.inverse == ref.inverse
+
+    def test_first_letter_over_the_cap(self):
+        y4 = Polynomial(2, {(0, 4): Fraction(1)})
+        for label, letters, named in (("q", [-1], "id*q^-1"), ("", [1, -1], "composite")):
+            quartic = PolyDiffeo.shear(2, 0, y4).relabeled(label)
+            group = GroupPresentation([quartic], degree_cap=2)
+            with pytest.raises(DegreeCapExceededError) as got:
+                group.word(letters)
+            with pytest.raises(DegreeCapExceededError) as want:
+                identity_first_product(group, letters)
+            assert (got.value.label, got.value.degree, got.value.cap) == (
+                want.value.label,
+                want.value.degree,
+                want.value.cap,
+            )
+            assert got.value.label == named
+
+    def test_one_letter_word_keeps_the_inverse_cap(self):
+        # g = (x + y^2, y + z^2, z) has degree 2 and an inverse of degree 4:
+        # id*g is admitted under cap 3 and its inverse is refused on read,
+        # and id*g^-1 is refused at once, as the identity-first products are
+        y_sq = Polynomial(3, {(0, 2, 0): Fraction(1)})
+        z_sq = Polynomial(3, {(0, 0, 2): Fraction(1)})
+        pending = PolyDiffeo.shear(3, 1, z_sq).compose(PolyDiffeo.shear(3, 0, y_sq))
+        eager = PolyDiffeo(pending.forward, pending.inverse)
+        for g in (pending.relabeled("g"), eager.relabeled("g")):
+            group = GroupPresentation([g], degree_cap=3)
+            word, ref = group.word([1]), identity_first_product(group, [1])
+            assert word == ref and word.label == ref.label == "id*g"
+            for w in (word, ref):
+                with pytest.raises(DegreeCapExceededError) as exc_info:
+                    w.inverse
+                assert (exc_info.value.label, exc_info.value.degree) == ("id*g^-1", 4)
+            with pytest.raises(DegreeCapExceededError) as exc_info:
+                group.word([-1])
+            assert (exc_info.value.label, exc_info.value.degree) == ("id*g^-1", 4)
+            roomy = GroupPresentation([g], degree_cap=4)
+            assert roomy.word([1]).inverse == identity_first_product(roomy, [1]).inverse
 
     def test_sample_words_deterministic(self):
         group = self.make_group()

@@ -193,6 +193,51 @@ class TestHashContract:
         assert z == PolyForm.zero(2, 1) and hash(z) == hash(PolyForm.zero(2, 1))
 
 
+@st.composite
+def form_pair(draw):
+    """Two forms of one degree on one R^n, with mixed-denominator coefficients."""
+    dim = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, dim))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return random_form(rng, dim, degree, 2), random_form(rng, dim, degree, 2)
+
+
+class TestSubtraction:
+    """w - v is w + (-v), built without the negated copy."""
+
+    @given(form_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_adding_the_negation(self, pair):
+        w, v = pair
+        assert w - v == w + (-v) and hash(w - v) == hash(w + (-v))
+        assert v - w == -(w - v)
+
+    def test_mixed_denominators(self):
+        x = Polynomial.variable(2, 0)
+        w = PolyForm(2, 1, {(0,): x * Fraction(1, 3), (1,): "1/4"})
+        v = PolyForm(2, 1, {(0,): x * Fraction(1, 6), (1,): "-1/6"})
+        want = PolyForm(2, 1, {(0,): x * Fraction(1, 6), (1,): "5/12"})
+        assert w - v == w + (-v) == want
+
+    def test_full_cancellation(self):
+        y = Polynomial.variable(2, 1)
+        w = PolyForm(2, 1, {(0,): y * Fraction(1, 2), (1,): "3/4"})
+        v = PolyForm(2, 1, {(0,): y * Fraction(2, 4), (1,): "6/8"})
+        assert w - v == PolyForm.zero(2, 1) == w + (-v)
+        assert (w - v).components == {}
+
+    def test_zero_operands(self):
+        w = PolyForm(3, 2, {(0, 2): Polynomial.variable(3, 1) * Fraction(-2, 7)})
+        zero = PolyForm.zero(3, 2)
+        assert w - zero == w == w + (-zero)
+        assert zero - w == -w == zero + (-w)
+        assert zero - zero == zero
+
+    def test_degrees_must_match(self):
+        with pytest.raises(ValueError):
+            PolyForm.dx(2, 0) - PolyForm.volume(2)
+
+
 class TestWedge:
     def test_basis_wedge(self):
         dx = PolyForm.dx(2, 0)

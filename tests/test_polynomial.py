@@ -393,6 +393,40 @@ class TestAgainstFractionReference:
     def test_partial(self, a, axis):
         assert dict(Polynomial(3, a).partial(axis).terms) == ref_partial(a, axis)
 
+    @given(terms_strategy(3, 3, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_gradient_is_the_nonzero_partials(self, a):
+        p = Polynomial(3, a)
+        grad = p.gradient()
+        partials = {axis: p.partial(axis) for axis in range(3)}
+        assert grad == {axis: d for axis, d in partials.items() if not d.is_zero()}
+        assert list(grad) == sorted(grad)
+        assert {axis: dict(d.terms) for axis, d in grad.items()} == {
+            axis: ref_partial(a, axis) for axis in range(3) if ref_partial(a, axis)
+        }
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda target: st.tuples(
+                st.just(target), st.lists(terms_strategy(target, 2, 3), min_size=3, max_size=3)
+            )
+        ),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_compose_constant_zero_and_degree_one_term(self, case, c, axis):
+        # the shortcuts: a constant stays itself and c * x_axis becomes
+        # c * args[axis], in a target ring of any dimension
+        target, args = case
+        polys = [Polynomial(target, t) for t in args]
+        unit = tuple(int(i == axis) for i in range(3))
+        for terms in ({}, {(0, 0, 0): c}, {unit: c}, {unit: Fraction(1)}):
+            terms = _clean(terms)
+            result = Polynomial(3, terms).compose(polys)
+            assert result.dim == target
+            assert dict(result.terms) == ref_compose(terms, args, target)
+
     @given(terms_strategy(2), point_strategy(2))
     @settings(max_examples=80, deadline=None)
     def test_evaluate(self, a, pt):
@@ -403,6 +437,46 @@ class TestAgainstFractionReference:
     def test_homogeneous_parts(self, a):
         parts = Polynomial(3, a).homogeneous_parts()
         assert {s: dict(p.terms) for s, p in parts.items()} == ref_homogeneous_parts(a)
+
+
+class TestSubtraction:
+    """a - b is a + (-b), whichever denominators and zeros meet."""
+
+    @given(terms_or_constant, terms_or_constant)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_adding_the_negation(self, a, b):
+        p, q = Polynomial(2, a), Polynomial(2, b)
+        assert p - q == p + (-q) and hash(p - q) == hash(p + (-q))
+        assert q - p == -(p - q)
+
+    def test_mixed_denominators(self):
+        p = Polynomial(2, {(1, 0): Fraction(1, 3), (0, 0): Fraction(1, 4)})
+        q = Polynomial(2, {(0, 1): "1/6", (0, 0): "-1/4", (1, 0): "1/3"})
+        want = Polynomial(2, {(0, 1): Fraction(-1, 6), (0, 0): Fraction(1, 2)})
+        assert p - q == p + (-q) == want
+        assert (p - q).constant_term() == Fraction(1, 2)
+
+    def test_full_cancellation(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        p = x * Fraction(1, 2) + y * Fraction(1, 3)
+        q = Polynomial(2, {(1, 0): "3/6", (0, 1): "2/6"})
+        assert p - q == Polynomial.zero(2) == p + (-q)
+        assert (p - q).is_zero() and (p - q).degree() == 0
+
+    def test_zero_operands(self):
+        p = Polynomial(2, {(2, 1): Fraction(-5, 4), (0, 0): Fraction(7, 3)})
+        zero = Polynomial.zero(2)
+        assert p - zero == p == p + (-zero)
+        assert zero - p == -p == zero + (-p)
+        assert zero - zero == zero
+        assert p - 0 == p and 0 - p == -p
+
+    @pytest.mark.parametrize("c", [3, Fraction(-2, 5), "1/2", 0])
+    def test_rsub_with_a_constant(self, c):
+        p = Polynomial(2, {(1, 1): Fraction(2, 3), (0, 0): Fraction(1, 6)})
+        assert c - p == (-p) + c == Polynomial.constant(2, c) + (-p)
+        assert p - c == p + (-Polynomial.constant(2, c))
+        assert (c - p).dim == 2
 
 
 class TestOneValueOneRepresentation:

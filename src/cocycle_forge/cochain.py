@@ -122,7 +122,8 @@ def delta_prime(
     ``products``, keyed by the pair; a refused product raises and is
     not kept.  Differentials that share one table, under one cap, form
     each product once between them (``ZigzagState`` shares its table
-    across its levels); by default the table is this cochain's own.
+    across the differentials built over it); by default the table is
+    this cochain's own.
     """
     p = c.p
     if products is None:

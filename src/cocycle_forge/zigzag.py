@@ -9,9 +9,25 @@ descent builds cochains phi_i in C^i(G, Omega^{m-i-1}(R^n)):
 where h is the radial homotopy operator and d' the group differential.
 The sign makes the staircase identity d'phi_{i-1} + d''phi_i = 0 hold
 on every tuple, because d(h(eta)) = eta for closed eta of positive
-degree and d'' carries the sign (-1)^i.  Each right-hand side is checked
-closed before h is applied; a failure means the input was not invariant
-or something upstream is broken, so it raises instead of continuing.
+degree and d'' carries the sign (-1)^i.
+
+The levels are evaluated in collapsed form.  h contracts with the Euler
+field, so h.h = 0; every value of phi_{i-1} is a value of h, so h kills
+every term of d'phi_{i-1} but the last, the pullback along g_i, and
+
+    phi_i(g_1,...,g_i) = -h( g_i^* phi_{i-1}(g_1,...,g_{i-1}) )
+
+exactly, for i >= 2.  A level therefore forms no product of group
+elements and reads phi_{i-1} on one tuple only.  Level 1 keeps the
+paper's right-hand side phi_0 - g^* phi_0 and checks it closed before
+applying h; a level i >= 2 checks that g_i preserves w before pulling
+back along it.  By induction every element a level pulls back along has
+been checked, and that invariance is what made the right-hand sides
+closed.  A failure means the group does not preserve w, so it raises
+instead of continuing.  The checks in ``checks`` build the full d' over
+these levels (``ZigzagState.descent_residual``, the cocycle condition,
+point independence and the comparison identity), so each run tests the
+collapse as well.
 
 The descent always runs to the top level p = m - 1, where phi_p is
 valued in 0-forms.  Integrating d'phi_p over a 0-chain of points alpha
@@ -19,12 +35,13 @@ then gives a real-valued cocycle: the p+1 cochain
 
     c(g_1,...,g_{p+1}) = int_alpha (d'phi_p)(g_1,...,g_{p+1}),
 
-which satisfies Dc = 0 identically.  (A shallower depth would pair a
-closed form of positive degree, which is exact on R^n, with a cycle
-that bounds, so its cocycle would vanish identically.)  On the
-translation subgroup with a point cycle, c collapses to the closed form
-(1/m!) w(a_1,...,a_m), and this module reproduces that value exactly,
-not merely up to coboundary.
+which satisfies Dc = 0 identically.  No h follows this top d', so it
+keeps all its terms.  (A shallower depth would pair a closed form of
+positive degree, which is exact on R^n, with a cycle that bounds, so
+its cocycle would vanish identically.)  On the translation subgroup
+with a point cycle, c collapses to the closed form (1/m!) w(a_1,...,a_m),
+and this module reproduces that value exactly, not merely up to
+coboundary.
 
 A companion cochain b(g_1,...,g_p) = int_alpha phi_p(g_1,...,g_p)
 controls triviality: in general
@@ -56,13 +73,14 @@ from .polynomial import as_point
 class ZigzagState:
     """The form, the group, and the descent cochains phi_0..phi_p, p = m - 1.
 
-    ``phis[i]`` is an i-cochain valued in forms of degree m-i-1.
-    ``products`` holds each product g h that a d' over this state has
-    formed, keyed by the pair (g, h): every level and every cochain
-    built by ``delta_prime`` below shares it, so a product is formed
-    once and is one object.  A level's d'phi_i is formed where it is
-    read.  ``build_phi_sequence`` builds both; the state only checks
-    that there are p + 1 levels.
+    ``phis[i]`` is an i-cochain valued in forms of degree m-i-1; each
+    level i >= 1 caches its values, which the level above and the
+    cochains built over the state read again.  The levels form no
+    products.  ``products`` holds each product g h that a d' over this
+    state has formed, keyed by the pair (g, h): the top-level d' of c
+    and b and ``descent_residual`` all merge through it, so a product is
+    formed once and is one object.  ``build_phi_sequence`` builds both;
+    the state only checks that there are p + 1 levels.
     """
 
     __slots__ = ("omega", "p", "group", "phis", "products")
@@ -105,6 +123,11 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
     Requires a nonzero closed form of degree m >= 1 that every generator
     preserves; the invariance check is skipped when the group was built
     to preserve it, and is otherwise the presentation's own.
+
+    Level 1 is h(phi_0 - g^* phi_0), its argument checked closed; level
+    i >= 2 is the collapsed -h(g_i^* phi_{i-1}(g_1,...,g_{i-1})), after
+    checking that g_i preserves w (see the module docstring).  Either
+    check raises ``NotClosedError`` naming the level and the tuple.
     """
     if omega.is_zero():
         raise ValueError("the descent needs a nonzero form")
@@ -119,27 +142,37 @@ def build_phi_sequence(omega: PolyForm, group: GroupPresentation) -> ZigzagState
         raise ValueError("the descent needs a form of degree at least 1")
     phi0_value = -poincare_h(omega)
     phis = [Cochain(0, m - 1, omega.dim, lambda: phi0_value)]
+
+    @cache
+    def phi1(g):
+        rhs = phi0_value - g.pullback_form(phi0_value)
+        if not ext_d(rhs).is_zero():
+            raise NotClosedError(_not_closed(1, (g,)))
+        return poincare_h(rhs)
+
+    if m > 1:
+        phis.append(Cochain(1, m - 2, omega.dim, phi1))
     # Each level caches its values, which the levels above read again.  It
-    # holds its own d'phi_{i-1} and the product table: reading them through
-    # the state would tie it and the level caches into a reference cycle.
-    products = {}
-    for i in range(1, m):
-        dprime = delta_prime(phis[i - 1], group.degree_cap, products)
+    # holds the level below, not the list or the state: either would tie
+    # the level caches into a reference cycle.
+    for i in range(2, m):
 
         @cache
-        def evaluator(*gs, _dp=dprime, _i=i):
-            rhs = _dp(*gs)
-            if _i % 2 == 0:
-                rhs = -rhs
-            if not ext_d(rhs).is_zero():
-                raise NotClosedError(
-                    f"level-{_i} descent input is not closed on "
-                    f"({', '.join(g.label or '?' for g in gs)})"
-                )
-            return poincare_h(rhs)
+        def evaluator(*gs, _below=phis[i - 1], _i=i):
+            last = gs[-1]
+            if not last.preserves(omega):
+                raise NotClosedError(_not_closed(_i, gs))
+            return -poincare_h(last.pullback_form(_below(*gs[:-1])))
 
         phis.append(Cochain(i, m - i - 1, omega.dim, evaluator))
-    return ZigzagState(omega, group, phis, products)
+    return ZigzagState(omega, group, phis, {})
+
+
+def _not_closed(i: int, gs: Sequence[PolyDiffeo]) -> str:
+    return (
+        f"level-{i} descent input is not closed on "
+        f"({', '.join(g.label or '?' for g in gs)})"
+    )
 
 
 def _check_alpha(state: ZigzagState, alpha: Chain):

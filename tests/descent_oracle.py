@@ -1,4 +1,4 @@
-"""Standalone sympy cross-check for the area-form staircase on R^2.
+"""Standalone sympy cross-checks for the descent staircase on R^2 and R^3.
 
 Everything here is computed with sympy expressions and sympy's own
 integration -- no code is shared with the package, which works in sparse
@@ -11,8 +11,15 @@ and the homotopy operator is the radial one centered at the origin,
 
     (h a)(x)(v_1, ..., v_{k-1}) = Integral_0^1 t^{k-1} a(t x)(x, v_1, ...) dt.
 
+On R^3 a k-form is a dict {index tuple: coefficient}, with indices
+0-based and increasing.  The R^3 descent builds each level from the
+paper's full right-hand side, every term of d' phi_{i-1}, and does not
+use the collapse h.h = 0 that the package's levels rest on.
+
 Run as a script to print the values used as frozen test expectations.
 """
+
+import itertools
 
 import sympy as sp
 
@@ -95,6 +102,92 @@ def translation_pair_value(a, b):
     return descent_value(ta, tb)
 
 
+X3 = sp.symbols("x1 x2 x3")
+
+
+def pull_form(form, gmap):
+    """g^*(sum f_I dx_I) = sum_I sum_J (f_I o g) det(dg_I/dx_J) dx_J."""
+    sub = dict(zip(X3, gmap))
+    jac = sp.Matrix([[sp.diff(u, v) for v in X3] for u in gmap])
+    out = {}
+    for idx, f in form.items():
+        fg = f.subs(sub, simultaneous=True)
+        for J in itertools.combinations(range(3), len(idx)):
+            minor = jac.extract(list(idx), list(J)).det() if idx else 1
+            out[J] = out.get(J, 0) + fg * minor
+    return _normal(out)
+
+
+def h_form(degree, form):
+    """Radial homotopy of a degree-k form:
+    h(f dx_I) = Integral_0^1 t^(k-1) f(t x) dt * sum_j (-1)^j x_(I_j) dx_(I minus I_j)."""
+    if degree == 0:
+        return {}
+    scale = {v: t * v for v in X3}
+    out = {}
+    for idx, f in form.items():
+        s = sp.integrate(t ** (degree - 1) * f.subs(scale, simultaneous=True), (t, 0, 1))
+        for j, axis in enumerate(idx):
+            rest = idx[:j] + idx[j + 1 :]
+            out[rest] = out.get(rest, 0) + (-1) ** j * X3[axis] * s
+    return _normal(out)
+
+
+def combine(*signed):
+    """sum of sign * form over (sign, form) pairs."""
+    out = {}
+    for sign, form in signed:
+        for idx, f in form.items():
+            out[idx] = out.get(idx, 0) + sign * f
+    return _normal(out)
+
+
+def _normal(form):
+    expanded = {idx: sp.expand(f) for idx, f in form.items()}
+    return {idx: f for idx, f in expanded.items() if f != 0}
+
+
+def compose3(f, g):
+    sub = dict(zip(X3, g))
+    return tuple(sp.expand(u.subs(sub, simultaneous=True)) for u in f)
+
+
+def volume_descent_value(g1, g2, g3):
+    """Degree-3 cocycle value at the origin for omega = dx1^dx2^dx3, each
+    level from the full d':
+
+        phi0 = -h(omega),
+        phi1(g) = h(phi0 - g*phi0),
+        phi2(g, k) = -h(phi1(k) - phi1(g.k) + k*phi1(g)),
+        c = (phi2(g2, g3) - phi2(g1.g2, g3) + phi2(g1, g2.g3) - g3*phi2(g1, g2))(0).
+    """
+    phi0 = combine((-1, h_form(3, {(0, 1, 2): sp.Integer(1)})))
+
+    def phi1(g):
+        return h_form(2, combine((1, phi0), (-1, pull_form(phi0, g))))
+
+    def phi2(g, k):
+        dprime = combine((1, phi1(k)), (-1, phi1(compose3(g, k))), (1, pull_form(phi1(g), k)))
+        return combine((-1, h_form(1, dprime)))
+
+    total = combine(
+        (1, phi2(g2, g3)),
+        (-1, phi2(compose3(g1, g2), g3)),
+        (1, phi2(g1, compose3(g2, g3))),
+        (-1, pull_form(phi2(g1, g2), g3)),
+    )
+    return sp.Rational(total.get((), sp.Integer(0)).subs({v: 0 for v in X3}))
+
+
+def r3_shear_triple_value():
+    """c(s23, T2, s23.T3) on r3, with s23: (x1, x2, x3) -> (x1 + x2 x3, x2, x3)."""
+    x1, x2, x3 = X3
+    s23 = (x1 + x2 * x3, x2, x3)
+    t2 = (x1, x2 + 1, x3)
+    t3 = (x1, x2, x3 + 1)
+    return volume_descent_value(s23, t2, compose3(s23, t3))
+
+
 if __name__ == "__main__":
     print("c(sigma, T(0,1)) =", shear_translation_value())
     for a, b in [((1, 0), (0, 1)), ((2, 3), (-1, 5)), (("1/2", "1/3"), ("1/5", 1))]:
@@ -102,3 +195,4 @@ if __name__ == "__main__":
         expect = (sp.Rational(a[0]) * sp.Rational(b[1]) - sp.Rational(a[1]) * sp.Rational(b[0])) / 2
         print(f"c(T{a}, T{b}) = {got}  (closed form {expect})")
         assert got == expect, (got, expect)
+    print("c(s23, T2, s23*T3) on r3 =", r3_shear_triple_value())

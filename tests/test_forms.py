@@ -346,6 +346,19 @@ class TestHomotopyOperator:
             expected = f - f.evaluate((0, 0))
             assert recovered.coefficient(()) == expected
 
+    def test_h_squared_is_zero(self):
+        # h contracts with the radial field twice, and i(E) i(E) = 0; the
+        # collapsed descent levels in ``zigzag`` rest on this identity
+        rng = seeded("hh")
+        nonzero = 0
+        for dim in range(1, 5):
+            for degree in range(dim + 1):
+                for _ in range(4):
+                    a = random_form(rng, dim, degree, 3)
+                    nonzero += not poincare_h(a).is_zero()
+                    assert poincare_h(poincare_h(a)).is_zero()
+        assert nonzero > 20
+
     def test_h_vanishes_on_functions(self):
         f = PolyForm.from_polynomial(Polynomial.variable(2, 0))
         assert poincare_h(f).is_zero()

@@ -121,6 +121,18 @@ class TestBuild:
         ):
             state.phis[1](double)
 
+    def test_level_invariance_guard(self):
+        # a map that scales the volume, falsely declared to preserve it, in
+        # slot 2: level 2 checks g_2^* w == w before pulling back along g_2
+        t1 = PolyDiffeo.translation([1, 0, 0], "T1")
+        bad = PolyDiffeo.linear([[2, 0, 0], [0, 1, 0], [0, 0, 1]], "bad")
+        volume = PolyForm.volume(3)
+        state = build_phi_sequence(volume, GroupPresentation([t1, bad], [volume], _trusted=True))
+        with pytest.raises(
+            NotClosedError, match=r"level-2 descent input is not closed on \(T1, bad\)"
+        ):
+            state.phis[2](t1, bad)
+
     def test_rejects_form_on_another_space(self):
         group = GroupPresentation([PolyDiffeo.translation([1, 0], "T1")])
         with pytest.raises(DimensionMismatchError, match="different spaces"):
@@ -187,6 +199,16 @@ class TestCocycleValues:
             PolyDiffeo.translation([0, 0, 1]),
         ]
         assert cocycle_eval(volume_state, ORIGIN3, gs) == Fraction(1, 6)
+
+    def test_nonlinear_triple_matches_independent_engine(self, volume_state):
+        # s23 in the first and last slots; the oracle builds both levels
+        # from the full d', without the collapse h.h = 0
+        group = volume_state.group
+        gs = [group.generator("s23"), group.generator("T2"), group.word([4, 3])]
+        ours = cocycle_eval(volume_state, ORIGIN3, gs)
+        assert ours == Fraction(-1, 24)
+        oracle = descent_oracle.r3_shear_triple_value()
+        assert Fraction(int(sp.numer(oracle)), int(sp.denom(oracle))) == ours
 
     def test_closed_form_agreement(self, area_state):
         rng = random.Random("zigzag:closed")
@@ -407,8 +429,28 @@ class TestCochainsBuiltOnce:
 
 
 class TestProductsFormedOnce:
-    """The descent levels and the cochains built over a state share one
-    table of products: each (g, h) is composed once per state."""
+    """The cochains built over a state share one table of products: each
+    (g, h) is composed once per state.  The descent levels form none."""
+
+    def test_levels_form_no_products(self):
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "r3_volume.json"
+        config = load_scenario(str(scenario))
+        state = config.build_state()
+        g1, g2, g3 = state.group.sample_words(3, 3, seed=5)
+        cocycle(state, config.cycle)(g1, g2, g3)
+        assert set(state.products) == {(g1, g2), (g2, g3)}
+
+    def test_low_cap_refuses_no_triple_product(self):
+        # g g has degree 3, so a full d' at level 2 would bound g g g by 6
+        # and refuse it under the cap 4; the levels form no product
+        s23 = PolyDiffeo.shear(3, 0, Polynomial(3, {(0, 1, 1): Fraction(1)}), "s23")
+        cyc = PolyDiffeo.linear([[0, 0, 1], [1, 0, 0], [0, 1, 0]], "cyc")
+        g = s23.compose(cyc)
+        assert (g.degree(), g.compose(g).degree()) == (2, 3)
+        volume = PolyForm.volume(3)
+        state = build_phi_sequence(volume, GroupPresentation([s23, cyc], [volume], degree_cap=4))
+        assert cocycle(state, ORIGIN3)(g, g, g) == 0
+        assert list(state.products) == [(g, g)]
 
     def test_cocycle_then_its_coboundary(self, monkeypatch):
         scenario = Path(__file__).resolve().parent.parent / "scenarios" / "r3_volume.json"
@@ -461,11 +503,49 @@ class TestLevelsCached:
         gs = state.group.sample_words(3, 3, seed=5)
         c = cocycle(state, config.cycle)
         value = c(*gs)
-        # phi_2 on the four faces of the triple and phi_1 on the six
-        # distinct products of its consecutive runs
-        assert len(calls) == 10
+        # phi_2 on the four faces of the triple, and phi_1 on the first
+        # entries of those faces: g1, g2 and g1 g2
+        assert len(calls) == 7
         assert cocycle(state, config.cycle)(*gs) == value
-        assert len(calls) == 10
+        assert len(calls) == 7
+
+
+class TestLevelsMatchThePaper:
+    """Each level i >= 2 evaluates the collapsed -h(g_i^* phi_{i-1}); the
+    paper's formula h((-1)^{i+1} d'phi_{i-1}), with every face of the d'
+    and every merged product, must give the same form."""
+
+    @staticmethod
+    def nonlinear_tuples(state, i, count, seed):
+        words = [g for g in state.group.sample_words(6 * i * count, 2, seed) if g.degree() > 1]
+        assert len(words) >= i * count
+        return [words[i * k : i * k + i] for k in range(count)]
+
+    @staticmethod
+    def assert_level_matches(state, i, tuples):
+        reference = delta_prime(state.phis[i - 1], state.group.degree_cap)
+        nonzero = 0
+        for gs in tuples:
+            rhs = reference(*gs)
+            if i % 2 == 0:
+                rhs = -rhs
+            value = state.phis[i](*gs)
+            assert value == poincare_h(rhs)
+            nonzero += not value.is_zero()
+        assert nonzero
+
+    def test_level_2_on_r3(self):
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "r3_volume.json"
+        state = load_scenario(str(scenario)).build_state()
+        self.assert_level_matches(state, 2, self.nonlinear_tuples(state, 2, 6, seed=13))
+
+    def test_level_3_on_r4(self):
+        gens = [PolyDiffeo.translation([int(i == j) for j in range(4)], f"T{i + 1}") for i in range(4)]
+        gens.append(PolyDiffeo.shear(4, 0, Polynomial(4, {(0, 1, 1, 0): Fraction(1)}), "s23"))
+        volume = PolyForm.volume(4)
+        state = build_phi_sequence(volume, GroupPresentation(gens, [volume]))
+        for i in (2, 3):
+            self.assert_level_matches(state, i, self.nonlinear_tuples(state, i, 3, seed=17))
 
 
 def test_descent_frees_without_cyclic_collector():

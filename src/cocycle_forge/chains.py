@@ -33,10 +33,10 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotACycleError
 from .forms import PolyForm
-from .polynomial import Polynomial, as_fraction, as_point, det
+from .polynomial import Immutable, Polynomial, as_fraction, as_point, det
 
 
-class AffineSimplex:
+class AffineSimplex(Immutable):
     """An ordered affine q-simplex (q+1 rational vertices in R^n), q <= n.
 
     The edge vectors v_j - v_0 and the substitution polynomials of the
@@ -67,9 +67,6 @@ class AffineSimplex:
         _set_hash(self, hash(vertices))
         _set_edges(self, None)
         _set_substitutions(self, {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSimplex is immutable")
 
     def face(self, i: int) -> AffineSimplex:
         """The i-th face, obtained by dropping vertex i."""
@@ -135,14 +132,12 @@ class AffineSimplex:
         return f"AffineSimplex[{pts}]"
 
 
-# The slot descriptors' setters, bound once: ``__setattr__`` refuses every
-# assignment, so the constructors and the first-use fills go through them.
 _set_dim, _set_ambient, _set_vertices, _set_hash, _set_edges, _set_substitutions = (
     AffineSimplex.__dict__[name].__set__ for name in AffineSimplex.__slots__
 )
 
 
-class Chain:
+class Chain(Immutable):
     """Formal rational combination of affine simplices of one dimension."""
 
     __slots__ = ("dim", "ambient", "terms")
@@ -163,9 +158,6 @@ class Chain:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Chain is immutable")
 
     # -- constructors ------------------------------------------------------
 

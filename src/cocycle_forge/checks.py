@@ -507,7 +507,7 @@ def _transvection(rng: random.Random, radial: PolyForm) -> PolyDiffeo:
     so that pairing it with v gives the linear function w(x, v).
 
     The inverse subtracts the same shift, as w(x + s, v) = w(x, v)
-    whenever s is a multiple of v; the constructor checks it.
+    whenever s is a multiple of v, so the pair is built correct.
     """
     dim = radial.dim
     v = [random_fraction(rng, 2, 2) for _ in range(dim)]
@@ -515,9 +515,9 @@ def _transvection(rng: random.Random, radial: PolyForm) -> PolyDiffeo:
     w_xv = sum((radial.coefficient((k,)) * v[k] for k in range(dim)), Polynomial.zero(dim))
     xs = [Polynomial.variable(dim, r) for r in range(dim)]
     shift = [w_xv * (lam * c) for c in v]
-    return PolyDiffeo(
-        [x + s for x, s in zip(xs, shift)],
-        [x - s for x, s in zip(xs, shift)],
+    return PolyDiffeo._raw(
+        tuple(x + s for x, s in zip(xs, shift)),
+        tuple(x - s for x, s in zip(xs, shift)),
         "transvection",
     )
 

@@ -5,11 +5,12 @@ polynomial, so invertibility never has to be decided later.  The public
 constructor checks that a (forward, inverse) pair composes to the
 identity both ways.  ``PolyDiffeo._raw`` is the one trusted path: the
 builders (``identity``, ``translation``, ``linear``, ``shear``,
-``inverted``, ``relabeled``, ``compose`` and the first letter of
-``GroupPresentation.word``) construct their pairs correct and call it
-without the check.  A composite built by
-``compose`` stores its forward map and its two factors; its inverse is
-composed from theirs on first read, which most composites never see.
+``inverted``, ``relabeled``, ``compose``, the first letter of
+``GroupPresentation.word`` and the sampled transvections of
+``checks``) construct their pairs correct and call it without the
+check.  A composite built by ``compose`` stores its forward map and its
+two factors; its inverse is composed from theirs on first read, which
+most composites never see.
 Groups of such maps are described by a ``GroupPresentation``: a list of
 labelled generators, each of which is required to preserve every
 distinguished form.
@@ -35,7 +36,7 @@ from .errors import (
     InvarianceError,
 )
 from .forms import PolyForm, pullback
-from .polynomial import Polynomial, as_fraction, as_point, fraction_to_str, invert_matrix
+from .polynomial import Immutable, Polynomial, as_fraction, as_point, fraction_to_str, invert_matrix
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -59,7 +60,7 @@ def _map_degree(comps: Sequence[Polynomial]) -> int:
     return max(c.degree() for c in comps)
 
 
-class PolyDiffeo:
+class PolyDiffeo(Immutable):
     """A polynomial bijection of R^n together with its polynomial inverse.
 
     Equality and hashing look only at the forward components, so two
@@ -106,9 +107,6 @@ class PolyDiffeo:
         _set_label(self, label)
         _set_degree(self, _map_degree(forward))
         _set_hash(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyDiffeo is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -251,8 +249,6 @@ class PolyDiffeo:
         return f"PolyDiffeo{name}[{body}]"
 
 
-# The slot descriptors' setters, bound once: the constructors fill the
-# slots through them because ``__setattr__`` refuses every assignment.
 (
     _set_dim,
     _set_forward,
@@ -294,7 +290,7 @@ def _fill_inverses(top: PolyDiffeo):
         _set_factors(g, None)
 
 
-class GroupPresentation:
+class GroupPresentation(Immutable):
     """A finite labelled generating set acting on R^n.
 
     Construction checks each generator against every supplied form and
@@ -336,9 +332,6 @@ class GroupPresentation:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "preserved_forms", kept)
         object.__setattr__(self, "degree_cap", int(degree_cap))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupPresentation is immutable")
 
     def generator(self, label: str) -> PolyDiffeo:
         for g in self.generators:

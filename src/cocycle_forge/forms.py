@@ -24,7 +24,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .polynomial import Polynomial, as_point, det
+from .polynomial import Immutable, Polynomial, as_point, det
 
 Index = tuple[int, ...]  # strictly increasing 0-based axes
 
@@ -66,7 +66,7 @@ def _accumulate(comps: dict, idx: Index, poly: Polynomial):
     comps[idx] = poly if s is None else s + poly
 
 
-class PolyForm:
+class PolyForm(Immutable):
     """Differential form on R^n with polynomial coefficients.
 
     ``components`` maps increasing axis tuples of length ``degree`` to
@@ -106,9 +106,6 @@ class PolyForm:
         _set_degree(form, degree)
         _set_components(form, {i: p for i, p in components.items() if not p.is_zero()})
         return form
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyForm is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -219,14 +216,12 @@ class PolyForm:
         return " + ".join(pieces)
 
 
-# The slot descriptors' setters, bound once: the constructors fill the
-# slots through them because ``__setattr__`` refuses every assignment.
 _set_dim, _set_degree, _set_components = (
     PolyForm.__dict__[name].__set__ for name in PolyForm.__slots__
 )
 
 
-class PolyVectorField:
+class PolyVectorField(Immutable):
     """Vector field on R^n with polynomial components."""
 
     __slots__ = ("dim", "components")
@@ -245,9 +240,6 @@ class PolyVectorField:
             )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyVectorField is immutable")
 
     @classmethod
     def constant(cls, dim: int, vector: Sequence) -> PolyVectorField:

@@ -45,7 +45,27 @@ def fraction_to_str(value) -> str:
         ) from None
 
 
-class Polynomial:
+class Immutable:
+    """Base of the value types: once built, an instance refuses every
+    assignment and deletion with "<Type> is immutable".
+
+    Caches and hashes key on these values, so they must never change.
+    Each subclass declares ``__slots__`` (instances have no ``__dict__``).
+    Its constructors and its fills on first use write through the slot
+    descriptors' setters, bound once per module as ``_set_<slot>``, or
+    through ``object.__setattr__``; neither passes ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Polynomial(Immutable):
     """Immutable sparse polynomial with exact rational coefficients.
 
     The coefficients are integer numerators over one common denominator,
@@ -95,9 +115,6 @@ class Polynomial:
         _set_num(poly, num)
         _set_den(poly, den)
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -412,8 +429,6 @@ class Polynomial:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-# The slot descriptors' setters, bound once: the constructors fill the
-# slots through them because ``__setattr__`` refuses every assignment.
 _set_dim, _set_num, _set_den = (
     Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
 )

@@ -70,7 +70,9 @@ def parse_fraction(data) -> Fraction:
                 )
         try:
             return Fraction(literal[0].replace("_", ""))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ScenarioError(f"bad rational literal {data!r}: zero denominator") from None
+        except ValueError as exc:
             raise ScenarioError(f"bad rational literal {data!r}: {exc}") from None
     raise ScenarioError(
         f"expected a rational as string or integer, got {type(data).__name__}"

@@ -28,7 +28,6 @@ import pytest
 import sympy as sp
 
 import descent_oracle
-from cocycle_forge.chains import Chain
 from cocycle_forge.checks import (
     calculus_suite,
     closed_form_random_sweep,

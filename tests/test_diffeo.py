@@ -6,15 +6,21 @@ from pathlib import Path
 
 import pytest
 
+from cocycle_forge.checks import _transvection
 from cocycle_forge.diffeo import DEFAULT_DEGREE_CAP, GroupPresentation, PolyDiffeo
 from cocycle_forge.errors import (
     DegreeCapExceededError,
     DimensionMismatchError,
     InvarianceError,
 )
-from cocycle_forge.forms import PolyForm, ext_d, pullback
+from cocycle_forge.forms import PolyForm, PolyVectorField, ext_d, interior, pullback
 from cocycle_forge.polynomial import Polynomial
-from cocycle_forge.sampling import random_form, random_polynomial, random_vector
+from cocycle_forge.sampling import (
+    nonzero_constant_form,
+    random_form,
+    random_polynomial,
+    random_vector,
+)
 from cocycle_forge.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -137,6 +143,22 @@ class TestTrustedBuilders:
                     assert checked == h
                     assert checked.inverse == h.inverse
                     assert checked.label == h.label
+
+    @pytest.mark.parametrize("source", ["r4_symplectic", "random"])
+    def test_checked_constructor_accepts_sampled_transvections(self, source):
+        rng = random.Random(2900)
+        if source == "random":
+            omega = nonzero_constant_form(rng, 4, 2)
+        else:
+            omega = load_scenario(str(SCENARIO_DIR / f"{source}.json")).forms[0]
+        radial = interior(PolyVectorField.euler(4), omega)
+        drawn = [_transvection(rng, radial) for _ in range(5)]
+        assert any(g != PolyDiffeo.identity(4) for g in drawn)
+        for g in drawn:
+            assert g.preserves(omega)
+            checked = PolyDiffeo(g.forward, g.inverse, g.label)
+            assert checked == g
+            assert checked.inverse == g.inverse
 
 
 class TestComposition:

@@ -61,6 +61,12 @@ class TestFractions:
         with pytest.raises((ScenarioError, TypeError, ValueError)):
             parse_fraction(bad)
 
+    @pytest.mark.parametrize("text", ["1/0", "-3/0_0"])
+    def test_zero_denominator_is_named(self, text):
+        with pytest.raises(ScenarioError) as refused:
+            parse_fraction(text)
+        assert str(refused.value) == f"bad rational literal {text!r}: zero denominator"
+
 
 class TestPolynomialJson:
     def test_round_trip_random(self):

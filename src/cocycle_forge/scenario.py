@@ -312,9 +312,11 @@ MAX_WORD_LENGTH = 100
 # sampled tuple before the first check runs, so memory grows with the count.
 MAX_SAMPLES = 10_000
 # Largest verify.degree_cap, from the file or --degree-cap.  Each doubling of
-# the degree reached costs about ten times the time: on r2, eval-cocycle of
-# six factors sigma*rot90 (degree 64) and T1 took 1.1 s, and of seven
-# (degree 128) 18.2 s, whole process on a 2-core machine.
+# the degree reached costs several times the time: on r2, eval-cocycle of
+# six factors sigma*rot90 (degree 64) and T1 took 0.23 s, and of seven
+# (degree 128) 1.5 s, whole process on a 2-core machine, nearly all of it
+# one pullback along the word; a full top-level d', which also pulls back
+# along the word times T1, took 1.4 s and 15 s.
 MAX_DEGREE_CAP = 128
 # Largest scenario dimension.  Random forms walk all C(n, k) index tuples
 # (check-calculus at --samples 1 took 5.2 s on R^10 and over 60 s on R^12,

@@ -23,11 +23,13 @@ from .polynomial import Polynomial, fraction_to_str
 # with no spaces around "/", or a decimal with an optional exponent; "_"
 # only singly between digits.  Matched against the stripped string.
 _RATIONAL = re.compile(
-    r"[-+]?(?=\d|\.\d)(\d+(_\d+)*)?"
-    r"(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?([eE][-+]?(?P<exp>\d+(_\d+)*))?)"
+    r"[-+]?(?=\d|\.\d)(?P<num>\d+(_\d+)*)?"
+    r"(/(?P<den>\d+(_\d+)*)|(\.(?P<dec>\d+(_\d+)*)?)?([eE][-+]?(?P<exp>\d+(_\d+)*))?)"
 )
 # CPython's default int-to-str digit limit, for where the limit is off or absent
 _DEFAULT_DIGIT_LIMIT = 4300
+# Longest literal a refusal quotes whole
+_ECHO_LIMIT = 40
 # Largest total degree of one monomial in a scenario polynomial.  Loading
 # pulls every form back along every generator and checks every explicit
 # inverse by composition, and both expand powers up to this degree: a
@@ -45,11 +47,13 @@ def parse_fraction(data) -> Fraction:
     exponent notation such as "3e-2", with digits grouped by single
     underscores ("1_000") and whitespace around it, as Python 3.11's
     ``Fraction`` reads them; the same strings are read on every
-    interpreter.  An exponent larger in magnitude than Python's
-    int-to-str digit limit (``sys.get_int_max_str_digits()``, or its
-    default 4,300 where that limit is off or absent) is refused before
-    the value is built, since building 10**exponent takes time without
-    bound.
+    interpreter.  Against Python's int-to-str digit limit
+    (``sys.get_int_max_str_digits()``, or its default 4,300 where that
+    limit is off or absent), a run of numerator or denominator digits
+    longer than the limit, and an exponent larger in magnitude than it,
+    are refused before the value is built: building 10**exponent takes
+    time without bound.  A refusal quotes a literal longer than 40
+    characters by its head and length.
     """
     if isinstance(data, bool):
         raise ScenarioError(f"expected a rational, got {data!r}")
@@ -58,25 +62,40 @@ def parse_fraction(data) -> Fraction:
     if isinstance(data, str):
         literal = _RATIONAL.fullmatch(data.strip())
         if not literal:  # worded as Fraction words it, so reports keep their bytes
+            shown = _quoted(data)
             raise ScenarioError(
-                f"bad rational literal {data!r}: Invalid literal for Fraction: {data!r}"
+                f"bad rational literal {shown}: Invalid literal for Fraction: {shown}"
             )
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
+        if len(data) > limit:  # a shorter literal has no digit run past the limit
+            for part, what in (("num", "numerator"), ("dec", "numerator"), ("den", "denominator")):
+                if literal[part] and len(literal[part].replace("_", "")) > limit:
+                    raise ScenarioError(
+                        f"bad rational literal {_quoted(data)}: {what} longer than {limit} digits"
+                    )
         if literal["exp"]:
             digits = literal["exp"].replace("_", "").lstrip("0")
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:
                 raise ScenarioError(
-                    f"bad rational literal {data!r}: exponent magnitude above {limit}"
+                    f"bad rational literal {_quoted(data)}: exponent magnitude above {limit}"
                 )
         try:
             return Fraction(literal[0].replace("_", ""))
         except ZeroDivisionError:
-            raise ScenarioError(f"bad rational literal {data!r}: zero denominator") from None
+            raise ScenarioError(f"bad rational literal {_quoted(data)}: zero denominator") from None
         except ValueError as exc:
-            raise ScenarioError(f"bad rational literal {data!r}: {exc}") from None
+            raise ScenarioError(f"bad rational literal {_quoted(data)}: {exc}") from None
     raise ScenarioError(
         f"expected a rational as string or integer, got {type(data).__name__}"
     )
+
+
+def _quoted(data: str) -> str:
+    """``data`` as a refusal quotes it: whole up to 40 characters, else its
+    head and its length."""
+    if len(data) <= _ECHO_LIMIT:
+        return repr(data)
+    return f"{data[:_ECHO_LIMIT // 2]!r}... ({len(data)} characters)"
 
 
 # -- polynomials ------------------------------------------------------------

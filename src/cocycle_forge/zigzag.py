@@ -35,13 +35,23 @@ then gives a real-valued cocycle: the p+1 cochain
 
     c(g_1,...,g_{p+1}) = int_alpha (d'phi_p)(g_1,...,g_{p+1}),
 
-which satisfies Dc = 0 identically.  No h follows this top d', so it
-keeps all its terms.  (A shallower depth would pair a closed form of
-positive degree, which is exact on R^n, with a cycle that bounds, so
-its cocycle would vanish identically.)  On the translation subgroup
-with a point cycle, c collapses to the closed form (1/m!) w(a_1,...,a_m),
-and this module reproduces that value exactly, not merely up to
-coboundary.
+which satisfies Dc = 0 identically.  (A shallower depth would pair a
+closed form of positive degree, which is exact on R^n, with a cycle
+that bounds, so its cocycle would vanish identically.)  On the
+translation subgroup with a point cycle, c collapses to the closed form
+(1/m!) w(a_1,...,a_m), and this module reproduces that value exactly,
+not merely up to coboundary.
+
+No h follows the top d', so ``cocycle`` keeps all its terms: it is the
+cochain that the checks read, so they test the full top d' on every
+run.  One value needs less.  (d'phi_p)(g_1,...,g_m) is a closed 0-form,
+hence a constant, and every face but the last is a value of h, which
+vanishes at the centre 0; so for alpha = sum_x w_x [x]
+
+    c(g_1,...,g_m) = (-1)^m (sum_x w_x) phi_p(g_1,...,g_p)(g_m(0))
+
+exactly.  ``cocycle_eval`` reads this centre value: one level value at
+one point, and no product of group elements.
 
 A companion cochain b(g_1,...,g_p) = int_alpha phi_p(g_1,...,g_p)
 controls triviality: in general
@@ -52,7 +62,9 @@ controls triviality: in general
 
 so whenever every element under test maps alpha to itself, c = Db on
 those tuples.  ``checks.triviality_suite`` checks both sides of this
-identity on sampled tuples; their difference must always vanish.
+identity on sampled tuples; their difference must always vanish.  At
+alpha = (sum_x w_x)[0], b and Db vanish and the identity is the centre
+value itself.
 """
 
 from __future__ import annotations
@@ -188,9 +200,28 @@ def _check_alpha(state: ZigzagState, alpha: Chain):
 def cocycle_eval(
     state: ZigzagState, alpha: Chain, gs: Sequence[PolyDiffeo]
 ) -> Fraction:
-    """The cocycle value int_alpha (d'phi_p)(g_1,...,g_{p+1}); a loop over tuples
-    repeats only the cycle check of ``cocycle``, as the cached levels live in ``state``."""
-    return cocycle(state, alpha)(*gs)
+    """The cocycle value int_alpha (d'phi_p)(g_1,...,g_m), read at the centre:
+    (-1)^m times the integral of phi_p(g_1,...,g_p) over the point g_m(0)
+    weighted by alpha's total weight (see the module docstring).
+
+    The faces dropped are the ones that read g_m inside a level, so g_m is
+    checked against w here, before phi_p is read, and refused as the first
+    face phi_p(g_2,...,g_m) refuses it (for m = 1, as level 1 would); the
+    levels check g_1..g_p.
+    """
+    _check_alpha(state, alpha)
+    weight = sum(alpha.terms.values())
+    omega, p = state.omega, state.p
+
+    def centre_value(*gs: PolyDiffeo) -> Fraction:
+        last = gs[-1]
+        if not last.preserves(omega):
+            raise NotClosedError(_not_closed(max(p, 1), gs[1:] or gs))
+        centre = Chain.point(last.apply([0] * omega.dim)) * weight
+        value = integrate(state.phis[p](*gs[:-1]), centre)
+        return -value if state.m % 2 else value
+
+    return Cochain(state.m, None, omega.dim, centre_value)(*gs)
 
 
 def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:

@@ -95,6 +95,15 @@ def shear_translation_value():
     return descent_value(sigma, step)
 
 
+def rotated_shear_pair_value():
+    """c(rot90.sigma, sigma.T_(1,-1)): both maps nonlinear, and the last
+    one moves the origin, so the value reads a level away from 0."""
+    sigma = (x + y**2, y)
+    rot90 = (-y, x)
+    step = (x + 1, y - 1)
+    return descent_value(compose_map(rot90, sigma), compose_map(sigma, step))
+
+
 def translation_pair_value(a, b):
     """c(T_a, T_b); should equal (a1*b2 - a2*b1)/2."""
     ta = (x + sp.Rational(a[0]), y + sp.Rational(a[1]))
@@ -190,6 +199,7 @@ def r3_shear_triple_value():
 
 if __name__ == "__main__":
     print("c(sigma, T(0,1)) =", shear_translation_value())
+    print("c(rot90*sigma, sigma*T(1,-1)) =", rotated_shear_pair_value())
     for a, b in [((1, 0), (0, 1)), ((2, 3), (-1, 5)), (("1/2", "1/3"), ("1/5", 1))]:
         got = translation_pair_value(a, b)
         expect = (sp.Rational(a[0]) * sp.Rational(b[1]) - sp.Rational(a[1]) * sp.Rational(b[0])) / 2

@@ -320,6 +320,14 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["type"] == "DegreeCapExceededError"
 
+    def test_eval_forms_no_product_for_the_cap_to_refuse(self, capsys):
+        # the value is read at the homotopy centre, so sigma*sigma (degree
+        # 4 > 2), which a full top d' would merge, is never formed
+        argv = ["eval-cocycle", "--scenario", R2, "--degree-cap", "2", "--tuple", "sigma", "sigma"]
+        code, report = run_main(capsys, *argv)
+        assert code == 0
+        assert report["checks"][0]["value"] == "0"
+
     @pytest.mark.parametrize(
         "argv",
         [

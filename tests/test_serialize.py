@@ -61,6 +61,36 @@ class TestFractions:
         with pytest.raises((ScenarioError, TypeError, ValueError)):
             parse_fraction(bad)
 
+    # a digit run past the limit is refused before int() sees it, quoted
+    # by its head; a literal of exactly 4,300 digits still parses
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("1" * 5000, "'11111111111111111111'... (5000 characters): numerator"),
+            ("1/" + "3" * 5000, "'1/333333333333333333'... (5002 characters): denominator"),
+            ("0." + "7" * 4301, "'0.777777777777777777'... (4303 characters): numerator"),
+        ],
+        ids=["integer", "denominator", "decimal"],
+    )
+    def test_overlong_digit_runs_are_refused_in_our_words(self, text, refusal):
+        with pytest.raises(ScenarioError) as refused:
+            parse_fraction(text)
+        assert str(refused.value) == (
+            f"bad rational literal {refusal} longer than 4300 digits"
+        )
+
+    def test_digit_limit_is_inclusive(self):
+        assert parse_fraction("1" * 4300) == int("1" * 4300)
+        assert parse_fraction("1/" + "3" * 4300) == Fraction(1, int("3" * 4300))
+
+    def test_long_literal_is_quoted_by_its_head(self):
+        with pytest.raises(ScenarioError) as refused:
+            parse_fraction("1e" + "9" * 5000)
+        assert str(refused.value) == (
+            "bad rational literal '1e999999999999999999'... (5002 characters): "
+            "exponent magnitude above 4300"
+        )
+
     @pytest.mark.parametrize("text", ["1/0", "-3/0_0"])
     def test_zero_denominator_is_named(self, text):
         with pytest.raises(ScenarioError) as refused:

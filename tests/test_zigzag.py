@@ -192,6 +192,17 @@ class TestCocycleValues:
         oracle = descent_oracle.descent_value((x + y**2, y), (-y, x))
         assert Fraction(int(sp.numer(oracle)), int(sp.denom(oracle))) == ours
 
+    def test_maps_moving_the_origin_match_independent_engine(self, area_state):
+        # rot90 fixes 0, so (sigma, rot90) reads phi_1 at the centre itself;
+        # here both maps are nonlinear and the last one moves the origin
+        group = area_state.group
+        sigma, rot = group.generator("sigma"), group.generator("rot90")
+        gs = [rot.compose(sigma), sigma.compose(PolyDiffeo.translation([1, -1]))]
+        ours = cocycle_eval(area_state, ORIGIN2, gs)
+        assert ours == Fraction(1, 6)
+        oracle = descent_oracle.rotated_shear_pair_value()
+        assert Fraction(int(sp.numer(oracle)), int(sp.denom(oracle))) == ours
+
     def test_triple_on_volume(self, volume_state):
         gs = [
             PolyDiffeo.translation([1, 0, 0]),
@@ -236,6 +247,127 @@ class TestCocycleValues:
         x = Polynomial.variable(2, 0)
         with pytest.raises(ValueError):
             closed_form_translation(PolyForm.volume(2) * x, [[1, 0], [0, 1]])
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def volume4_state():
+    """The volume form on R^4 under T1..T4 and the shear x1 += x2 x3 (m = 4)."""
+    gens = [PolyDiffeo.translation([int(i == j) for j in range(4)], f"T{i + 1}") for i in range(4)]
+    gens.append(PolyDiffeo.shear(4, 0, Polynomial(4, {(0, 1, 1, 0): Fraction(1)}), "s23"))
+    volume = PolyForm.volume(4)
+    return build_phi_sequence(volume, GroupPresentation(gens, [volume]))
+
+
+def centre_cycles(n):
+    """Point cycles with weight sums 1, 1, 1 and 0."""
+    origin, ones = Chain.point([0] * n), Chain.point([1] * n)
+    return [origin, Chain.point([3, -2, 1, -1][:n]), origin * 2 - ones, origin - ones]
+
+
+def sampled_tuples(state, count, max_word_length, seed):
+    words = state.group.sample_words(count * state.m, max_word_length, seed)
+    return [words[k * state.m : (k + 1) * state.m] for k in range(count)]
+
+
+class TestCentreValue:
+    """``cocycle_eval`` reads the centre value (-1)^m int phi_p(g_1..g_p) over
+    (sum w) [g_m(0)]; ``cocycle`` keeps the full d'.  They must agree."""
+
+    @pytest.mark.parametrize(
+        "name", ["r1_line", "r2_area", "r3_volume", "r4_symplectic", "volume4"]
+    )
+    def test_centre_value_is_the_full_top_dprime(self, name):
+        if name == "volume4":
+            state, cycles = volume4_state(), centre_cycles(4)
+            tuples = sampled_tuples(state, 20, 2, seed=29)
+        else:
+            config = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+            state = config.build_state()
+            cycles = [config.cycle] + centre_cycles(state.omega.dim)[1:]
+            tuples = sampled_tuples(state, 20, 3, seed=29)
+        nonzero = 0
+        for alpha in cycles:
+            full = cocycle(state, alpha)
+            for gs in tuples:
+                value = cocycle_eval(state, alpha, gs)
+                assert value == full(*gs)
+                nonzero += value != 0
+        assert nonzero
+
+    @pytest.mark.parametrize("name", ["r1_line", "r3_volume"])
+    def test_constant_shift_of_the_top_level_breaks_the_agreement(self, name):
+        # phi_p + 1 no longer vanishes at the centre.  For odd m the full d'
+        # of the constant 1 is 0 while the centre value moves by -(sum w), so
+        # every tuple disagrees; for even m both sides move by sum w
+        config = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+        state = config.build_state()
+        p, n = state.p, state.omega.dim
+        good, one = state.phis[p], PolyForm.constant_function(n, 1)
+        shifted = Cochain(p, 0, n, lambda *gs: good(*gs) + one)
+        bad = ZigzagState(state.omega, state.group, state.phis[:p] + (shifted,), {})
+        for gs in sampled_tuples(state, 10, 3, seed=31):
+            assert cocycle_eval(state, config.cycle, gs) == cocycle(state, config.cycle)(*gs)
+            assert cocycle_eval(bad, config.cycle, gs) != cocycle(bad, config.cycle)(*gs)
+
+    def test_forms_no_products(self, monkeypatch):
+        config = load_scenario(str(SCENARIO_DIR / "r3_volume.json"))
+        state = config.build_state()
+        gs = state.group.sample_words(3, 3, seed=5)
+        calls = []
+        compose = PolyDiffeo.compose
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(PolyDiffeo, "compose", counting)
+        # the full top d' merges g1 g2 and g2 g3; the centre value merges none
+        assert cocycle_eval(state, config.cycle, gs) == cocycle(state, config.cycle)(*gs)
+        assert calls and state.products
+        calls.clear()
+        fresh = config.build_state()
+        cocycle_eval(fresh, config.cycle, gs)
+        assert calls == []
+        assert fresh.products == {}
+
+    @pytest.mark.parametrize(
+        "omega, good, expected",
+        [
+            (PolyForm.volume(2), ["T1"], r"level-1 descent input is not closed on \(bad\)"),
+            (
+                PolyForm.volume(3),
+                ["T1", "T2"],
+                r"level-2 descent input is not closed on \(T2, bad\)",
+            ),
+        ],
+        ids=["p1", "p2"],
+    )
+    def test_bad_last_map_is_refused_as_the_first_face_refuses_it(self, omega, good, expected):
+        # a group falsely declared to preserve w, with the bad map in the
+        # last slot: no face reads g_m inside a level any more, so this check
+        # is the only one on it; the full d' raises the same text
+        n = omega.dim
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        gens = [PolyDiffeo.translation(row, f"T{i + 1}") for i, row in enumerate(unit)]
+        bad = PolyDiffeo.linear([[2 * unit[0][0]] + unit[0][1:]] + unit[1:], "bad")  # x1 -> 2 x1
+        state = build_phi_sequence(omega, GroupPresentation(gens + [bad], [omega], _trusted=True))
+        gs = [state.group.generator(label) for label in good] + [bad]
+        origin = Chain.point([0] * n)
+        with pytest.raises(NotClosedError, match=f"^{expected}$"):
+            cocycle_eval(state, origin, gs)
+        with pytest.raises(NotClosedError, match=f"^{expected}$"):
+            cocycle(state, origin)(*gs)
+
+    def test_bad_map_is_refused_for_m_1(self):
+        # for a 1-form the top d' has no level above phi_0 to check the map
+        line = PolyForm.dx(1, 0)
+        bad = PolyDiffeo.linear([[2]], "bad")
+        state = build_phi_sequence(line, GroupPresentation([bad], [line], _trusted=True))
+        refusal = r"^level-1 descent input is not closed on \(bad\)$"
+        with pytest.raises(NotClosedError, match=refusal):
+            cocycle_eval(state, Chain.point([0]), [bad])
 
 
 class TestCycleChecks:

@@ -8,9 +8,10 @@ builders (``identity``, ``translation``, ``linear``, ``shear``,
 ``inverted``, ``relabeled``, ``compose``, the first letter of
 ``GroupPresentation.word`` and the sampled transvections of
 ``checks``) construct their pairs correct and call it without the
-check.  A composite built by ``compose`` stores its forward map and its
-two factors; its inverse is composed from theirs on first read, which
-most composites never see.
+check.  A composite built by ``compose`` stores its forward map only:
+the group acts on forms by pullback, g -> g^*, which reads forward maps,
+so nothing reads a product's inverse.  Its inverse, when wanted, is the
+product of the factors' inverses in reverse order.
 Groups of such maps are described by a ``GroupPresentation``: a list of
 labelled generators, each of which is required to preserve every
 distinguished form.
@@ -19,10 +20,7 @@ Composition can blow up polynomial degree exponentially (a shear of
 degree d composed with itself k times reaches degree d^k), so every
 composition is guarded by a degree cap that raises
 ``DegreeCapExceededError`` instead of silently grinding.  The cap is
-checked against deg(g)·deg(h), the forward degrees.  In dimension 2
-deg F^-1 = deg F, so the inverse obeys the same bound; in dimension
-n >= 3 deg F^-1 can reach (deg F)^(n-1), and reading a composite's
-inverse checks the cap again on the inverses' degrees.
+checked against deg(g)·deg(h), the forward degrees.
 """
 
 from __future__ import annotations
@@ -67,10 +65,12 @@ class PolyDiffeo(Immutable):
     routes to the same map (for instance ``g.compose(g.inverted())`` and
     ``identity``) compare equal regardless of labels.
 
-    A composite's inverse and the hash are filled on first use and kept.
+    A composite has no inverse: reading ``inverse`` or calling
+    ``inverted()`` on one raises ``ValueError``.  The hash is filled on
+    first use and kept.
     """
 
-    __slots__ = ("dim", "forward", "_inverse", "_factors", "label", "_degree", "_hash")
+    __slots__ = ("dim", "forward", "_inverse", "label", "_degree", "_hash")
 
     def __init__(
         self, forward: Sequence[Polynomial], inverse: Sequence[Polynomial], label: str = ""
@@ -87,23 +87,21 @@ class PolyDiffeo(Immutable):
             raise ValueError(f"forward o inverse is not the identity ({label or 'unlabelled'})")
         if tuple(f.compose(fwd) for f in inv) != ident:
             raise ValueError(f"inverse o forward is not the identity ({label or 'unlabelled'})")
-        self._fill(fwd, inv, str(label), None)
+        self._fill(fwd, inv, str(label))
 
     @classmethod
-    def _raw(cls, forward: tuple, inverse, label: str, factors=None) -> PolyDiffeo:
+    def _raw(cls, forward: tuple, inverse, label: str) -> PolyDiffeo:
         """Trusted constructor for maps built correct: ``forward`` and
         ``inverse`` are tuples of polynomials on one R^n that compose to the
-        identity both ways, or ``inverse`` is None and ``factors`` holds the
-        (outer, inner, cap) of a composite whose inverse has not been read."""
+        identity both ways, or ``inverse`` is None for a composite."""
         out = object.__new__(cls)
-        out._fill(forward, inverse, label, factors)
+        out._fill(forward, inverse, label)
         return out
 
-    def _fill(self, forward: tuple, inverse, label: str, factors):
+    def _fill(self, forward: tuple, inverse, label: str):
         _set_dim(self, forward[0].dim)
         _set_forward(self, forward)
         _set_inverse(self, inverse)
-        _set_factors(self, factors)
         _set_label(self, label)
         _set_degree(self, _map_degree(forward))
         _set_hash(self, None)
@@ -167,23 +165,25 @@ class PolyDiffeo(Immutable):
         return cls._raw(fwd, inv, label or f"shear{axis + 1}")
 
     def relabeled(self, label: str) -> PolyDiffeo:
-        """The same map under another label; a pending inverse stays pending."""
-        return PolyDiffeo._raw(self.forward, self._inverse, str(label), self._factors)
+        """The same map, and the same inverse or none, under another label."""
+        return PolyDiffeo._raw(self.forward, self._inverse, str(label))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def inverse(self) -> tuple[Polynomial, ...]:
-        """The inverse map's components; a composite builds them on first read."""
+        """The inverse map's components; a composite has none and refuses."""
         if self._inverse is None:
-            _fill_inverses(self)
+            raise ValueError(
+                f"the composite {self.label or repr(self)} keeps no inverse: "
+                "compose its factors' inverses in reverse order"
+            )
         return self._inverse
 
     def degree(self) -> int:
         """The degree of the forward map: the largest total degree of its
         components.  ``compose`` checks the cap against the product of two
-        of these; reading a composite's inverse checks it against the
-        product of the inverses' degrees."""
+        of these."""
         return self._degree
 
     def is_identity(self) -> bool:
@@ -206,8 +206,7 @@ class PolyDiffeo(Immutable):
         computed.  Cancellation below the bound (as in g composed with
         its own inverse) is therefore not credited; raise the cap if a
         legitimately tame word is refused.  Only the forward map is
-        expanded here; the inverse waits for its first read, under the
-        same cap.
+        expanded; the composite keeps no inverse.
         """
         if self.dim != other.dim:
             raise DimensionMismatchError("composing maps of different dimensions")
@@ -216,7 +215,7 @@ class PolyDiffeo(Immutable):
         if bound > degree_cap:
             raise DegreeCapExceededError(label or "composite", bound, degree_cap)
         fwd = tuple(c.compose(other.forward) for c in self.forward)
-        return PolyDiffeo._raw(fwd, None, label, (self, other, degree_cap))
+        return PolyDiffeo._raw(fwd, None, label)
 
     def inverted(self) -> PolyDiffeo:
         label = f"{self.label}^-1" if self.label else ""
@@ -253,41 +252,10 @@ class PolyDiffeo(Immutable):
     _set_dim,
     _set_forward,
     _set_inverse,
-    _set_factors,
     _set_label,
     _set_degree,
     _set_hash,
 ) = (PolyDiffeo.__dict__[name].__set__ for name in PolyDiffeo.__slots__)
-
-
-def _fill_inverses(top: PolyDiffeo):
-    """Build the inverse of the composite ``top``, and first those of the
-    composites it was built from that still lack one, innermost first and
-    without recursion.
-
-    The inverse of outer·inner is inner^-1·outer^-1.  It is refused under
-    the cap the composite was built with when deg(inner^-1)·deg(outer^-1)
-    exceeds it, which can happen in dimension >= 3 only.
-    """
-    stack = [top]
-    while stack:
-        g = stack[-1]
-        if g._inverse is not None:
-            stack.pop()
-            continue
-        outer, inner, cap = g._factors
-        pending = [f for f in (outer, inner) if f._inverse is None]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        bound = _map_degree(inner._inverse) * _map_degree(outer._inverse)
-        if bound > cap:
-            raise DegreeCapExceededError(
-                f"{g.label}^-1" if g.label else "composite inverse", bound, cap
-            )
-        _set_inverse(g, tuple(c.compose(outer._inverse) for c in inner._inverse))
-        _set_factors(g, None)
 
 
 class GroupPresentation(Immutable):
@@ -350,11 +318,11 @@ class GroupPresentation(Immutable):
         right as maps: word [1, 2] is generators[0] composed after
         generators[1] under (g.h)(x) = g(h(x)).
 
-        The result equals the product id·g_1·g_2··· in forward map, inverse
-        and label, but the first letter is not composed onto the identity:
-        id·g_1 takes g_1's forward map and, when it is known and within the
-        cap, g_1's inverse; otherwise its inverse is built on first read as
-        a composite's, under the same cap.
+        The result equals the product id·g_1·g_2··· in forward map and
+        label, but the first letter is not composed onto the identity:
+        id·g_1 takes g_1's forward map and inverse, so a one-letter word
+        keeps its generator's inverse, and a longer word, a composite, has
+        none.
         """
         cap = self.degree_cap
         out = None
@@ -370,11 +338,7 @@ class GroupPresentation(Immutable):
             label = f"id*{g.label}" if g.label else ""
             if g._degree > cap:
                 raise DegreeCapExceededError(label or "composite", g._degree, cap)
-            if g._inverse is not None and _map_degree(g._inverse) <= cap:
-                out = PolyDiffeo._raw(g.forward, g._inverse, label)
-            else:
-                factors = (PolyDiffeo.identity(self.dim), g, cap)
-                out = PolyDiffeo._raw(g.forward, None, label, factors)
+            out = PolyDiffeo._raw(g.forward, g._inverse, label)
         return PolyDiffeo.identity(self.dim) if out is None else out
 
     def sample_words(

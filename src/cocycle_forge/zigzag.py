@@ -205,23 +205,25 @@ def cocycle_eval(
     weighted by alpha's total weight (see the module docstring).
 
     The faces dropped are the ones that read g_m inside a level, so g_m is
-    checked against w here, before phi_p is read, and refused as the first
-    face phi_p(g_2,...,g_m) refuses it (for m = 1, as level 1 would); the
-    levels check g_1..g_p.
+    checked against w here (``_check_last``); the levels check g_1..g_p.
     """
     _check_alpha(state, alpha)
     weight = sum(alpha.terms.values())
-    omega, p = state.omega, state.p
 
     def centre_value(*gs: PolyDiffeo) -> Fraction:
-        last = gs[-1]
-        if not last.preserves(omega):
-            raise NotClosedError(_not_closed(max(p, 1), gs[1:] or gs))
-        centre = Chain.point(last.apply([0] * omega.dim)) * weight
-        value = integrate(state.phis[p](*gs[:-1]), centre)
+        centre = Chain.point(_check_last(state, gs).apply([0] * state.omega.dim)) * weight
+        value = integrate(state.phis[state.p](*gs[:-1]), centre)
         return -value if state.m % 2 else value
 
-    return Cochain(state.m, None, omega.dim, centre_value)(*gs)
+    return Cochain(state.m, None, state.omega.dim, centre_value)(*gs)
+
+
+def _check_last(state: ZigzagState, gs: Sequence[PolyDiffeo]) -> PolyDiffeo:
+    """g_m, refused unless it preserves w, as the first face phi_p(g_2,...,g_m)
+    refuses it (for m = 1, as level 1 would on (g))."""
+    if not gs[-1].preserves(state.omega):
+        raise NotClosedError(_not_closed(max(state.p, 1), gs[1:] or gs))
+    return gs[-1]
 
 
 def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:
@@ -235,8 +237,12 @@ def _integral(state: ZigzagState, alpha: Chain, integrand: Cochain) -> Cochain:
 
 
 def cocycle(state: ZigzagState, alpha: Chain) -> Cochain:
-    """The cocycle as a reusable real-valued (p+1)-cochain."""
-    return _integral(state, alpha, state.delta_prime(state.phis[state.p]))
+    """The cocycle as a reusable real-valued (p+1)-cochain.  For m = 1,
+    d'phi_0(g) = phi_0 - g^* phi_0 reads no level, so g is checked here."""
+    top = state.delta_prime(state.phis[state.p])
+    if state.p == 0:
+        top = Cochain(1, 0, top.dim, lambda g, d=top: d(_check_last(state, (g,))))
+    return _integral(state, alpha, top)
 
 
 def closed_form_translation(omega: PolyForm, vectors: Sequence[Sequence]) -> Fraction:

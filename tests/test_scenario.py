@@ -509,11 +509,13 @@ class TestTupleExpressions:
         if k < 0:
             base = base.inverted()
         product = base
+        undo = base.inverted()
         for _ in range(abs(k) - 1):
             product = product.compose(base)
+            undo = undo.compose(base.inverted())
         g = parse_group_element(f"sigma^{k}", config)
         assert g == product
-        assert g.inverse == product.inverse
+        assert g.compose(undo).is_identity() and undo.compose(g).is_identity()
         assert g.label == product.label
 
     def test_exponent_bound(self, config):

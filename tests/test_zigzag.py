@@ -361,13 +361,17 @@ class TestCentreValue:
             cocycle(state, origin)(*gs)
 
     def test_bad_map_is_refused_for_m_1(self):
-        # for a 1-form the top d' has no level above phi_0 to check the map
+        # for a 1-form the top d' has no level above phi_0 to check the map;
+        # unchecked, the full d' of x -> 2x would read 0 at [0] and 1 at [1]
         line = PolyForm.dx(1, 0)
         bad = PolyDiffeo.linear([[2]], "bad")
         state = build_phi_sequence(line, GroupPresentation([bad], [line], _trusted=True))
         refusal = r"^level-1 descent input is not closed on \(bad\)$"
         with pytest.raises(NotClosedError, match=refusal):
             cocycle_eval(state, Chain.point([0]), [bad])
+        for x in (0, 1):
+            with pytest.raises(NotClosedError, match=refusal):
+                cocycle(state, Chain.point([x]))(bad)
 
 
 class TestCycleChecks:

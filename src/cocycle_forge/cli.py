@@ -13,12 +13,13 @@ stokes-check           exact Stokes on random simplices
 check-fgamma           transgression lemmas in the translation picture
 
 Every run prints exactly one JSON document to stdout, a refused command
-line included; only --help prints text instead.  All numbers in
-the document are exact rational strings; reports are byte-identical for
-identical (scenario, flags), which the test suite asserts by rerunning
-commands and comparing raw bytes.  Timing is therefore opt-in
-(--timings) and reported as integer milliseconds.  Exit status is 0
-exactly when every check in the report passed.
+line included; only --help prints text instead, wrapped at 78 columns
+whatever the terminal.  All numbers in the document are exact rational
+strings; reports are byte-identical for identical (scenario, flags),
+which the test suite asserts by rerunning commands and comparing raw
+bytes.  Timing is therefore opt-in (--timings) and reported as integer
+milliseconds.  Exit status is 0 exactly when every check in the report
+passed.
 """
 
 from __future__ import annotations
@@ -74,9 +75,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Help wrapped at 78 columns, as argparse wraps it with no terminal
+    attached, whatever the terminal: no ``shutil.get_terminal_size`` call."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cocycle-forge",
+        formatter_class=_HelpFormatter,
         description=(
             "Exact construction and verification of group cocycles from "
             "invariant polynomial forms on R^n."

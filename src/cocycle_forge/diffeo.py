@@ -8,9 +8,13 @@ builders (``identity``, ``translation``, ``linear``, ``shear``,
 ``inverted``, ``relabeled``, ``compose``, the first letter of
 ``GroupPresentation.word`` and the sampled transvections of
 ``checks``) construct their pairs correct and call it without the
-check.  A composite built by ``compose`` stores its forward map only:
-the group acts on forms by pullback, g -> g^*, which reads forward maps,
-so nothing reads a product's inverse.  Its inverse, when wanted, is the
+check.  Translations and linear maps are affine on both sides, so their
+components are written straight into the polynomial layout by
+``Polynomial.affine``, and a linear map's inverse matrix comes from the
+fraction-free ``invert_matrix``: no ring op runs to build them.  A
+composite built by ``compose`` stores its forward map only: the group
+acts on forms by pullback, g -> g^*, which reads forward maps, so
+nothing reads a product's inverse.  Its inverse, when wanted, is the
 product of the factors' inverses in reverse order.
 Groups of such maps are described by a ``GroupPresentation``: a list of
 labelled generators, each of which is required to preserve every
@@ -117,10 +121,11 @@ class PolyDiffeo(Immutable):
     @classmethod
     def translation(cls, vector: Sequence, label: str = "") -> PolyDiffeo:
         vec = tuple(map(as_fraction, vector))
-        _require_positive_dim(len(vec), "translation")
-        xs = [Polynomial.variable(len(vec), i) for i in range(len(vec))]
-        fwd = tuple(x + c for x, c in zip(xs, vec))
-        inv = tuple(x - c for x, c in zip(xs, vec))
+        dim = len(vec)
+        _require_positive_dim(dim, "translation")
+        units = [(0,) * i + (1,) + (0,) * (dim - i - 1) for i in range(dim)]
+        fwd = tuple(Polynomial.affine(c, u) for c, u in zip(vec, units))
+        inv = tuple(Polynomial.affine(-c, u) for c, u in zip(vec, units))
         if not label:
             label = "T(" + ",".join(map(fraction_to_str, vec)) + ")"
         return cls._raw(fwd, inv, label)
@@ -138,13 +143,9 @@ class PolyDiffeo(Immutable):
             inv_rows = invert_matrix(rows)
         except ValueError:
             raise ValueError(f"matrix for {label or 'linear map'} is singular") from None
-
-        units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
-
-        def as_map(mat):
-            return tuple(Polynomial(dim, {u: v for u, v in zip(units, row) if v}) for row in mat)
-
-        return cls._raw(as_map(rows), as_map(inv_rows), label or "linear")
+        fwd = tuple(Polynomial.affine(0, row) for row in rows)
+        inv = tuple(Polynomial.affine(0, row) for row in inv_rows)
+        return cls._raw(fwd, inv, label or "linear")
 
     @classmethod
     def shear(cls, dim: int, axis: int, poly: Polynomial, label: str = "") -> PolyDiffeo:

@@ -7,8 +7,11 @@ plus one gcd per result.  Everything downstream -- forms, pullbacks,
 integrals, cocycle values -- reduces to arithmetic in this ring, so no
 floating point ever enters the package.
 
-Also hosts the little exact linear algebra the rest of the code needs
-(determinants and matrix inverses over the rationals).
+Also hosts the little exact linear algebra the rest of the code needs:
+determinants and matrix inverses over the rationals, both by Bareiss's
+fraction-free elimination on integer rows.  ``Polynomial.affine`` writes
+an affine function straight into the integer layout, so translations and
+linear maps are built without ring ops.
 """
 
 from __future__ import annotations
@@ -126,6 +129,20 @@ class Polynomial(Immutable):
     def constant(cls, dim: int, value) -> Polynomial:
         c = value if isinstance(value, int) else as_fraction(value)
         return cls._raw(dim, {(0,) * dim: c.numerator} if c else {}, c.denominator)
+
+    @classmethod
+    def affine(cls, constant, coeffs: Sequence) -> Polynomial:
+        """The affine function c0 + sum_j c_j x_j on R^len(coeffs), from
+        ints and Fractions: each numerator is written over the lcm of the
+        reduced denominators, which leaves the result reduced, so no ring
+        op and no Fraction arithmetic runs."""
+        dim = len(coeffs)
+        den = lcm(constant.denominator, *[c.denominator for c in coeffs])
+        num = {(0,) * dim: constant.numerator * (den // constant.denominator)} if constant else {}
+        for j, c in enumerate(coeffs):
+            if c:
+                num[(0,) * j + (1,) + (0,) * (dim - j - 1)] = c.numerator * (den // c.denominator)
+        return cls._raw(dim, num, den)
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> Polynomial:
@@ -473,28 +490,41 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix (Gauss-Jordan).
+    """Exact inverse of a square rational matrix, fraction-free.
+
+    Each row of A is scaled to integers by the lcm d_i of its denominators,
+    and [D A | I] is reduced by Bareiss's elimination carried through the
+    rows above each pivot as well (Gauss-Jordan), whose every division is
+    exact.  That leaves [P I | P (D A)^-1] for the last pivot P, so
+    (A^-1)_ij = R_ij d_j / P, one division per entry.
 
     Raises ValueError on a singular matrix.
     """
     n = len(rows)
-    mat = [[as_fraction(v) for v in row] for row in rows]
-    for row in mat:
+    mat = []
+    scales = []
+    for i, row in enumerate(rows):
+        row = [as_fraction(v) for v in row]
         if len(row) != n:
             raise ValueError("matrix is not square")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
+        d = lcm(*(v.denominator for v in row))
+        unit = [int(i == j) for j in range(n)]
+        mat.append([v.numerator * (d // v.denominator) for v in row] + unit)
+        scales.append(d)
+    prev = 1
+    for k in range(n):
+        if not mat[k][k]:
+            pivot = next((r for r in range(k + 1, n) if mat[r][k]), None)
+            if pivot is None:
+                raise ValueError("matrix is singular")
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+        p, top = mat[k][k], mat[k]
         for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != k:
+                a = mat[r][k]
+                mat[r] = [(v * p - a * t) // prev for v, t in zip(mat[r], top)]
+        prev = p
+    return [[Fraction(v * d, prev) for v, d in zip(row[n:], scales)] for row in mat]
 
 
 def as_point(values: Iterable, dim: int) -> tuple[Fraction, ...]:

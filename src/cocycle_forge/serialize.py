@@ -79,10 +79,15 @@ def parse_fraction(data) -> Fraction:
                 raise ScenarioError(
                     f"bad rational literal {_quoted(data)}: exponent magnitude above {limit}"
                 )
-        try:
-            return Fraction(literal[0].replace("_", ""))
-        except ZeroDivisionError:
-            raise ScenarioError(f"bad rational literal {_quoted(data)}: zero denominator") from None
+        text = literal[0]
+        if not literal["exp"] and "." not in text:  # p or p/q: read the digit groups
+            num = int(literal["num"])
+            den = int(literal["den"] or 1)
+            if not den:
+                raise ScenarioError(f"bad rational literal {_quoted(data)}: zero denominator")
+            return Fraction(-num if text[0] == "-" else num, den)
+        try:  # a decimal or an exponent
+            return Fraction(text.replace("_", ""))
         except ValueError as exc:
             raise ScenarioError(f"bad rational literal {_quoted(data)}: {exc}") from None
     raise ScenarioError(

@@ -724,6 +724,37 @@ class TestArgumentRefusals:
         assert capsys.readouterr().out.startswith("usage: cocycle-forge")
 
 
+def _help_and_usage(capsys):
+    """The --help stdout and the usage text a refused command line prints
+    to stderr."""
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    help_text = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.main(["eval-cocycle"])
+    usage = capsys.readouterr().err
+    return help_text, usage
+
+
+def test_help_is_the_same_in_every_terminal(capsys, monkeypatch):
+    def no_terminal_lookup(*args, **kwargs):
+        raise AssertionError("the parser asked the terminal its width")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", no_terminal_lookup)
+    seen = set()
+    for columns in ("40", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        seen.add(_help_and_usage(capsys))
+        assert run_main(capsys, "eval-cocycle", "--scenario", R2, "--tuple", "T1", "T2")[0] == 0
+    assert len(seen) == 1
+    ((help_text, usage),) = seen
+    assert help_text.startswith("usage: cocycle-forge")
+    assert usage.startswith("usage: cocycle-forge")
+
+
 # JSON values a hand-edited dim or degree field might hold
 ODD_VALUES = st.one_of(
     st.integers(-2, 4),

@@ -59,6 +59,11 @@ class TestConstructors:
         with pytest.raises(ValueError):
             PolyDiffeo.linear([[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize("label, name", [("bad", "bad"), ("", "linear map")])
+    def test_linear_singular_refusal_names_the_matrix(self, label, name):
+        with pytest.raises(ValueError, match=f"^matrix for {name} is singular$"):
+            PolyDiffeo.linear([[0, 0, 1], [1, 2, 0], [2, 4, 0]], label)
+
     def test_linear_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
             PolyDiffeo.linear([[1, 0, 0], [0, 1, 0]])
@@ -129,6 +134,45 @@ def trusted_builds(rng, dim):
         (composite, undo.forward),
         (composite.relabeled("c"), undo.forward),
     ]
+
+
+class TestAffineBuilders:
+    """Translations and linear maps are written straight into the integer
+    layout; they equal the ring-op and checked-constructor builds, and the
+    checked constructor accepts them."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_translation_equals_x_plus_c(self, dim):
+        rng = random.Random(3200 + dim)
+        xs = [Polynomial.variable(dim, i) for i in range(dim)]
+        for _ in range(5):
+            vec = random_vector(rng, dim)
+            g = PolyDiffeo.translation(vec)
+            assert g.forward == tuple(x + c for x, c in zip(xs, vec))
+            assert g.inverse == tuple(x - c for x, c in zip(xs, vec))
+            assert PolyDiffeo(g.forward, g.inverse, g.label) == g
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_linear_equals_the_checked_row_build(self, dim):
+        rng = random.Random(3300 + dim)
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+
+        def rows_map(rows):
+            return tuple(Polynomial(dim, dict(zip(units, row))) for row in rows)
+
+        built = 0
+        while built < 5:
+            matrix = [list(random_vector(rng, dim)) for _ in range(dim)]
+            if rng.random() < 0.5:  # a zero pivot forces a row swap
+                matrix[0][0] = Fraction(0)
+            try:
+                g = PolyDiffeo.linear(matrix, "A")
+            except ValueError:  # singular: draw again
+                continue
+            built += 1
+            assert g.forward == rows_map(matrix)
+            checked = PolyDiffeo(rows_map(matrix), g.inverse, "A")
+            assert checked == g and checked.inverse == g.inverse
 
 
 class TestTrustedBuilders:

@@ -54,6 +54,28 @@ class TestConstruction:
         y = Polynomial.variable(3, 1)
         assert y.evaluate((10, 20, 30)) == 20
 
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    st.integers(-9, 9),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+                ),
+                min_size=n + 1,
+                max_size=n + 1,
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_affine_equals_the_checked_build(self, values):
+        constant, *coeffs = values
+        dim = len(coeffs)
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        built = Polynomial(dim, {(0,) * dim: constant, **dict(zip(units, coeffs))})
+        p = Polynomial.affine(constant, coeffs)
+        assert p == built and hash(p) == hash(built)
+        assert p.num == built.num and p.den == built.den
+
     def test_zero_coefficients_dropped(self):
         p = Polynomial(2, {(1, 0): 0, (0, 1): Fraction(1)})
         assert p == Polynomial.variable(2, 1)
@@ -193,6 +215,57 @@ class TestLinearAlgebra:
         if len(rows) > 1 and singular:
             assert det(rows) == 0
 
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.fractions(min_value=-4, max_value=4, max_denominator=7),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.booleans(),
+                st.booleans(),
+                st.booleans(),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_matches_gauss_jordan(self, case):
+        rows, zero_pivot, flip, singular = case
+        if zero_pivot:  # the first column needs a row swap, or has no pivot
+            rows[0][0] = Fraction(0)
+        if flip:  # a negated row negates the determinant
+            rows[-1] = [-v for v in rows[-1]]
+        if len(rows) > 1 and singular:
+            rows[-1] = [a * 3 - b for a, b in zip(rows[0], rows[-2])]
+        expected = ref_inverse(rows)
+        if expected is None:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                invert_matrix(rows)
+            return
+        got = invert_matrix(rows)
+        assert got == expected
+        assert all(type(v) is Fraction for row in got for v in row)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[Fraction(-2, 3)]],
+            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            [[0, 0, 1], [0, 2, 0], [Fraction(1, 2), 0, 0]],
+            [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)],
+            [[0, Fraction(1, 2), 3], [Fraction(-5, 4), 0, 1], [2, Fraction(7, 3), 0]],
+        ],
+        ids=["1x1", "swap", "anti-diagonal", "hilbert-6", "mixed"],
+    )
+    def test_inverse_matches_gauss_jordan_on_chosen_matrices(self, rows):
+        assert det(rows) != 0
+        assert invert_matrix(rows) == ref_inverse(rows)
+
     def test_invert_matrix_roundtrip(self):
         m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
         inv = invert_matrix(m)
@@ -288,6 +361,24 @@ def ref_det(rows):
             term *= rows[i][j]
         total += term
     return total
+
+
+def ref_inverse(rows):
+    """The inverse by Fraction Gauss-Jordan on [A | I]; None when singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def ref_simplex_integral(a, q):

@@ -1,6 +1,7 @@
 """Scenario loading, validation errors, and the tuple expression language."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -456,6 +457,52 @@ class TestSpecsMatchValidatingConstructor:
         assert g.inverse == checked.inverse
         assert g.label == checked.label
         assert g.degree() == checked.degree()
+
+
+# The checked constructor and every Polynomial method that does ring work
+RING_OPS = (
+    "__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+    "__rmul__", "__pow__", "_plus", "_scaled", "compose",
+)
+AFFINE_BUILDERS = ("translation", "linear")
+
+
+class TestAffineGeneratorsSkipTheRing:
+    """Loading a shipped scenario builds its translation and linear
+    generators with no ring op and no checked ``Polynomial`` constructor:
+    counted calls, so the mechanism is pinned without timing it."""
+
+    @pytest.mark.parametrize("name", ["r1_line", "r2_area", "r3_volume", "r4_symplectic"])
+    def test_no_ring_op_inside_an_affine_builder(self, monkeypatch, name):
+        open_builders = []
+        builds, inside, everywhere = Counter(), Counter(), Counter()
+        for builder in AFFINE_BUILDERS:
+            original = PolyDiffeo.__dict__[builder].__func__
+
+            def build(cls, *args, _original=original, _builder=builder, **kwargs):
+                builds[_builder] += 1
+                open_builders.append(_builder)
+                try:
+                    return _original(cls, *args, **kwargs)
+                finally:
+                    open_builders.pop()
+
+            monkeypatch.setattr(PolyDiffeo, builder, classmethod(build))
+        for op in RING_OPS:
+
+            def counted(*args, _original=getattr(Polynomial, op), _op=op, **kwargs):
+                everywhere[_op] += 1
+                if open_builders:
+                    inside[_op] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(Polynomial, op, counted)
+        path = SCENARIO_DIR / f"{name}.json"
+        load_scenario(str(path))
+        specs = json.loads(path.read_text())["group"]["generators"]
+        assert builds == Counter(s["type"] for s in specs if s["type"] in AFFINE_BUILDERS)
+        assert everywhere["__init__"] and everywhere["__mul__"]  # the counters do count
+        assert inside == Counter()
 
 
 @pytest.fixture(scope="module")

@@ -98,6 +98,53 @@ class TestFractions:
         assert str(refused.value) == f"bad rational literal {text!r}: zero denominator"
 
 
+# Accepted literals: p and p/q are read from their digit groups, decimals
+# and exponents by Fraction; either way the value is Fraction's own.
+ACCEPTED = [
+    "0", "+0", "-0", "7", "+7", "-3", "1/2", "+1/2", "-22/7", "6/4", "-0/5",
+    "007", "-0003/0004", "0_0", "1_000", "1_0/3", "-1_2/3_4",
+    "-0.25", ".5", "1.", "+1_0.5", "0.000",
+    "3e-2", "2.5E1_0", "1e+3", "-.5e2", "1e4300",
+    " 3/4 ", "\t-7\n", "  +2.5  ",
+    "12345678901234567890123", "-98765432109876543210/12345678901234567891",
+    "0.1234567890123456789012",
+]
+
+# Refused values and the message of each
+REFUSED = [
+    ("1/0", "bad rational literal '1/0': zero denominator"),
+    ("0/0", "bad rational literal '0/0': zero denominator"),
+    ("-3/0_0", "bad rational literal '-3/0_0': zero denominator"),
+    ("--1", "bad rational literal '--1': Invalid literal for Fraction: '--1'"),
+    ("1/ 2", "bad rational literal '1/ 2': Invalid literal for Fraction: '1/ 2'"),
+    (
+        "1" * 5000,
+        "bad rational literal '11111111111111111111'... (5000 characters): "
+        "numerator longer than 4300 digits",
+    ),
+    ("1e4301", "bad rational literal '1e4301': exponent magnitude above 4300"),
+    (True, "expected a rational, got True"),
+    (1.5, "expected a rational as string or integer, got float"),
+    (None, "expected a rational as string or integer, got NoneType"),
+]
+
+
+class TestFractionTable:
+    @pytest.mark.parametrize("text", ACCEPTED)
+    def test_accepted_literal_reads_as_fraction_reads_it(self, text):
+        value = parse_fraction(text)
+        assert type(value) is Fraction
+        assert value == Fraction(text.replace("_", ""))
+
+    @pytest.mark.parametrize(
+        "data, message", REFUSED, ids=[repr(d)[:12] for d, _ in REFUSED]
+    )
+    def test_refusal_keeps_its_message(self, data, message):
+        with pytest.raises(ScenarioError) as refused:
+            parse_fraction(data)
+        assert str(refused.value) == message
+
+
 class TestPolynomialJson:
     def test_round_trip_random(self):
         rng = random.Random("serialize:poly")
